@@ -113,23 +113,22 @@ verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
-# the pre-optimization baseline blocks in those files are preserved.
+# the baseline blocks in those files are preserved. The obs, predict,
+# dag and shard lanes repeat every benchmark (-count=5): benchjson folds
+# the repeats into medians and records the ns/op range beside them.
 #
-# Two-pass lanes select their pre-optimization baseline pass with
-# BENCH_BASELINE=<lane> (lanes: data, ingest, dag, shard — see
-# internal/bench/baseline; the historical BENCH_DATA_MODE=deep,
-# BENCH_INGEST_MODE=legacy, BENCH_DAG_MODE=serial, and
-# BENCH_SHARD_MODE=serial variables remain supported aliases).
+# Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
+# (lanes: data, ingest, dag, shard — see internal/bench/baseline).
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
-	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
-	$(GO) test -run='^$$' -bench=Predict -benchtime=300x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
+	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
+	$(GO) test -run='^$$' -bench=Predict -benchtime=300x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
-	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
-	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
-	BENCH_BASELINE=shard $(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_shard.json
-	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json
+	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
+	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
+	BENCH_BASELINE=shard $(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_shard.json
+	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json

@@ -257,18 +257,11 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 // ExecOptions tunes how ExecutePipelineWith and FitPipelineWith run a
 // pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
 type ExecOptions struct {
-	// DAG schedules independent pipeline statements concurrently with
-	// the dependency-DAG scheduler. Results, fitted artifacts, and
-	// errors are bit-identical to linear execution at any worker count;
-	// only wall time changes.
-	DAG bool
-	// Workers bounds the goroutines the DAG scheduler, row sharding,
-	// and the tree/KNN models use (0 = all cores).
+	// Workers is the one execution knob: it bounds the goroutines the
+	// statement DAG, row sharding, and the tree/KNN models share
+	// (0 = all cores, 1 = serial). Results and fitted artifacts are
+	// bit-identical at any value; only wall time changes.
 	Workers int
-	// ShardRows sets the row-shard chunk size for elementwise op loops:
-	// 0 selects the built-in default, a negative value disables row
-	// sharding (serial loops). Results are bit-identical at any value.
-	ShardRows int
 	// Metrics, when set, records execution counters and latency
 	// histograms (catdb_pipescript_*, catdb_dag_*, catdb_shard_*) into
 	// the registry — the same registry an ops server serves at /metrics.
@@ -289,8 +282,7 @@ func ExecutePipelineWith(source string, train, test *Table, target string, task 
 		return nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		DAG: opts.DAG, Workers: opts.Workers, ShardRows: opts.ShardRows,
-		Metrics: opts.Metrics, Span: opts.TraceSpan}
+		Workers: opts.Workers, Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Execute(prog, train, test)
 }
 
@@ -317,24 +309,23 @@ func FitPipeline(source string, train, test *Table, target string, task Task, se
 }
 
 // FitPipelineWith is FitPipeline with execution tuning. The fitted
-// artifact is byte-identical whichever way the pipeline executed.
+// artifact is byte-identical at any Workers setting.
 func FitPipelineWith(source string, train, test *Table, target string, task Task, seed int64, opts ExecOptions) (*PipelineResult, *FittedPipeline, error) {
 	prog, err := pipescript.Parse(source)
 	if err != nil {
 		return nil, nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		DAG: opts.DAG, Workers: opts.Workers, ShardRows: opts.ShardRows,
-		Metrics: opts.Metrics, Span: opts.TraceSpan}
+		Workers: opts.Workers, Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Fit(prog, train, test)
 }
 
 // RenderPipelineDAG renders the dependency-DAG execution plan of a
 // pipeline over the given initial columns: segments of parallel waves
 // separated by serial barriers, with per-statement column dependencies.
-// It is a static preview of what ExecOptions.DAG would schedule;
-// segments whose references cannot be statically resolved are marked
-// serial (they fall back to linear execution at run time).
+// It is a static preview of what the executor schedules; segments whose
+// references cannot be statically resolved are marked serial (they run
+// statement by statement at run time).
 func RenderPipelineDAG(source string, cols []string, target string) (string, error) {
 	prog, err := pipescript.Parse(source)
 	if err != nil {

@@ -221,8 +221,6 @@ func cmdGenerate(args []string) error {
 	export := fs.String("export", "", "write the generated pipeline to this .pipe file")
 	traceOut := fs.String("trace-out", "", "write the run's span trace to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
 	metricsOut := fs.String("metrics-out", "", "write run metrics in Prometheus text format to this file")
-	dag := fs.Bool("dag", false, "execute generated pipelines with the DAG statement scheduler (results are bit-identical; only wall time changes)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise pipeline ops (0 = default, negative = serial; results are bit-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while generating (/metrics, /api/spans, /debug/pprof; results are bit-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -254,7 +252,7 @@ func cmdGenerate(args []string) error {
 		defer stopOps()
 	}
 	res, err := catdb.PipGenObserved(ds, client, catdb.Options{
-		Seed: *seed, Chains: *chains, TopK: *topK, NoRefine: *noRefine, DAG: *dag, ExecShardRows: *shardRows,
+		Seed: *seed, Chains: *chains, TopK: *topK, NoRefine: *noRefine,
 	}, tracer, metrics)
 	if werr := writeObsOutputs(tracer, metrics, *traceOut, *metricsOut); werr != nil && err == nil {
 		err = werr
@@ -330,9 +328,7 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	refine := fs.Bool("refine", false, "apply catalog refinement before running (use when the pipeline was generated without -no-refine)")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
-	dag := fs.Bool("dag", false, "schedule independent statements concurrently (results are bit-identical; only wall time changes)")
-	workers := fs.Int("workers", 0, "execution goroutines for -dag, row sharding, and model fitting (0 = all cores)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise ops (0 = default, negative = serial; results are bit-identical at any value)")
+	workers := fs.Int("workers", 0, "execution goroutines shared by the statement DAG, row sharding, and model fitting (0 = all cores, 1 = serial; results are bit-identical at any value)")
 	dagPlan := fs.Bool("dag-plan", false, "print the DAG execution plan (waves, barriers, dependencies) before running")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -356,7 +352,7 @@ func cmdRun(args []string) error {
 		fmt.Print(plan)
 	}
 	res, err := catdb.ExecutePipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{DAG: *dag, Workers: *workers, ShardRows: *shardRows})
+		catdb.ExecOptions{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -414,9 +410,7 @@ func cmdFit(args []string) error {
 	refine := fs.Bool("refine", false, "apply catalog refinement before fitting")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
 	out := fs.String("out", "model.catdb.json", "fitted-pipeline artifact output path")
-	dag := fs.Bool("dag", false, "schedule independent statements concurrently (the artifact is byte-identical; only wall time changes)")
-	workers := fs.Int("workers", 0, "execution goroutines for -dag, row sharding, and model fitting (0 = all cores)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise ops (0 = default, negative = serial; the artifact is byte-identical at any value)")
+	workers := fs.Int("workers", 0, "execution goroutines shared by the statement DAG, row sharding, and model fitting (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while fitting (/metrics, /api/spans, /debug/pprof; the artifact is byte-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -446,8 +440,7 @@ func cmdFit(args []string) error {
 		return err
 	}
 	res, fp, err := catdb.FitPipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{DAG: *dag, Workers: *workers, ShardRows: *shardRows,
-			Metrics: metrics, TraceSpan: fitSpan})
+		catdb.ExecOptions{Workers: *workers, Metrics: metrics, TraceSpan: fitSpan})
 	fitSpan.End()
 	if err != nil {
 		return err
@@ -465,9 +458,7 @@ func cmdPredict(args []string) error {
 	artifact := fs.String("artifact", "", "fitted-pipeline artifact path (required)")
 	csvPath := fs.String("csv", "", "CSV rows to score; '-' reads stdin (required)")
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
-	workers := fs.Int("workers", 0, "inference and transform goroutines (0 = all cores; output is identical at any setting)")
-	dag := fs.Bool("dag", false, "apply independent recorded steps concurrently (predictions are identical; only wall time changes)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for transform-time elementwise loops (0 = default, negative = serial; predictions are identical at any value)")
+	workers := fs.Int("workers", 0, "row-shard and inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
 	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
 	chunkBytes := fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")
@@ -486,8 +477,6 @@ func cmdPredict(args []string) error {
 		return err
 	}
 	fp.Workers = *workers
-	fp.DAG = *dag
-	fp.ShardRows = *shardRows
 	var metrics *catdb.Metrics
 	if *metricsOut != "" || *listen != "" {
 		metrics = catdb.NewMetrics()

@@ -107,9 +107,7 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		if v.noKB {
 			r.KB = nil
 		}
-		opts := v.opts(seed)
-		opts.DAG = cfg.DAG
-		out, rerr := r.Run(c.ds, opts)
+		out, rerr := r.Run(c.ds, v.opts(seed))
 		if rerr != nil {
 			return runOut{failed: true}, nil
 		}

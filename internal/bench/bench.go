@@ -68,15 +68,6 @@ type Config struct {
 	// completion order, which is scheduling-dependent; experiment results
 	// remain deterministic.
 	Progress io.Writer
-	// DAG turns on the pipeline executor's dependency-DAG scheduler for
-	// every run the experiments launch. Scores, costs, and errors are
-	// bit-identical to linear execution — only pipeline wall time
-	// changes — so it is safe to flip on any experiment.
-	DAG bool
-	// ShardRows sets the pipeline executor's row-shard chunk size for
-	// elementwise op loops (0 = default, negative = serial). Like DAG,
-	// results are bit-identical at any value.
-	ShardRows int
 	// Ledger, when set, appends one record per completed core.Run —
 	// config hash, stage seconds, token counts, fix counts, and the
 	// final metric snapshot — to the persistent run ledger

@@ -93,9 +93,9 @@ func RunFig11TenIterations(cfg Config) (*Fig11Result, error) {
 	// into the Fig11Cell aggregates strictly in the serial loop order, so
 	// AUC lists and token sums are identical at any worker count.
 	type contrib struct {
-		system string
-		failed bool
-		auc    float64
+		system            string
+		failed            bool
+		auc               float64
 		tokens, errTokens int
 		genSec, execSec   float64
 	}
@@ -132,7 +132,7 @@ func RunFig11TenIterations(cfg Config) (*Fig11Result, error) {
 						r := core.NewRunner(client)
 						r.ProfileCache = cfg.ProfileCache
 						cfg.instrument(r, sp)
-						out, rerr := r.Run(ds, core.Options{Seed: seed, Chains: v.chains, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+						out, rerr := r.Run(ds, core.Options{Seed: seed, Chains: v.chains})
 						if rerr != nil {
 							c.failed = true
 							return c

@@ -108,7 +108,7 @@ func RunFig14Robustness(cfg Config) (*Fig14Result, error) {
 		r := core.NewRunner(client)
 		r.ProfileCache = cfg.ProfileCache
 		cfg.instrument(r, sp)
-		out, rerr := r.Run(ds, core.Options{Seed: cfg.Seed, TrainMutator: inject, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+		out, rerr := r.Run(ds, core.Options{Seed: cfg.Seed, TrainMutator: inject})
 		row := Fig14Row{Dataset: name, Corruption: corruption, Ratio: ratio, System: "CatDB"}
 		if rerr != nil {
 			row.Failed = true

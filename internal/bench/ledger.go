@@ -10,7 +10,7 @@ import (
 // ledgerRecord adapts a completed core.Result into the persistent run
 // ledger's schema. The config hash covers the full run identity —
 // dataset, model, variant, harness scale, and the run's own options
-// (seed, metadata combo, top-K, chains, executor knobs) — so
+// (seed, metadata combo, metadata-only, top-K, chains, no-refine) — so
 // `benchjson -compare` only ever diffs runs of the same configuration;
 // e.g. Figure 10's eleven metadata combos on one dataset all hash
 // differently even though their Results look alike.
@@ -21,7 +21,6 @@ func (c Config) ledgerRecord(opts core.Options, res *core.Result) ledger.Record 
 			fmt.Sprint(c.Scale),
 			fmt.Sprint(opts.Seed), fmt.Sprint(opts.Combo), fmt.Sprint(opts.MetadataOnly),
 			fmt.Sprint(opts.TopK), fmt.Sprint(opts.Chains), fmt.Sprint(opts.NoRefine),
-			fmt.Sprint(opts.DAG), fmt.Sprint(opts.ExecShardRows),
 		),
 		Dataset: res.Dataset,
 		Model:   res.Model,

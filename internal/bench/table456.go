@@ -155,7 +155,7 @@ func RunTable5Cleaning(cfg Config) (*Table5Result, error) {
 				r.ProfileCache = cfg.ProfileCache
 				cfg.instrument(r, sp)
 				start := time.Now()
-				out, rerr := r.Run(ds, core.Options{Seed: cfg.Seed, NoRefine: variant.noRefine, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+				out, rerr := r.Run(ds, core.Options{Seed: cfg.Seed, NoRefine: variant.noRefine})
 				row := Table5Row{Dataset: name, System: variant.label, Runtime: time.Since(start)}
 				if rerr != nil {
 					row.Failed, row.Reason = true, rerr.Error()

@@ -61,21 +61,6 @@ type Options struct {
 	// packages raise policy errors that the error-management loop repairs
 	// with allowed alternatives.
 	Policy *pipescript.Policy
-	// DAG schedules independent pipeline statements concurrently
-	// (pipescript's dependency-DAG scheduler). Results, artifacts, and
-	// errors are bit-identical to linear execution at any worker count;
-	// only wall time changes. With Chains > 1 the chained sub-pipelines
-	// accumulate into one program, so the whole chain is fused into a
-	// single DAG.
-	DAG bool
-	// ExecWorkers bounds the goroutines the pipeline executor uses for
-	// DAG statement scheduling, row sharding, and model fitting
-	// (0 = all cores).
-	ExecWorkers int
-	// ExecShardRows sets the executor's row-shard chunk size for
-	// elementwise op loops (0 = default, negative = serial loops).
-	// Results are bit-identical at any value.
-	ExecShardRows int
 }
 
 func (o Options) withDefaults() Options {
@@ -304,7 +289,8 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 		esp.End()
 		return nil, fmt.Errorf("core: final pipeline failed to parse after validation: %w", perr)
 	}
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, DAG: opts.DAG, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows, Span: esp}
+	ex := r.executor(ds, opts)
+	ex.Span = esp
 	execRes, xerr := ex.Execute(prog, train, test)
 	if xerr != nil {
 		// Full-data failure after sample validation: resume the debug
@@ -422,7 +408,8 @@ func (r *Runner) generateAndFix(pr prompt.Prompt, in prompt.Input, cfg prompt.Co
 	if opts.StaticRepair && !allowNoTrain {
 		source = staticRepair(source, in, ds.Task)
 	}
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, AllowNoTrain: allowNoTrain, Policy: opts.Policy, Metrics: r.Metrics, DAG: opts.DAG, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows}
+	ex := r.executor(ds, opts)
+	ex.AllowNoTrain = allowNoTrain
 	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
 }
 
@@ -461,8 +448,13 @@ func staticRepair(source string, in prompt.Input, task data.Task) string {
 func (r *Runner) finalValidate(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	vTrain, vTest *data.Table, ds *data.Dataset, res *Result, sp *obs.Span) (string, error) {
 
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, DAG: opts.DAG, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows}
-	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
+	return r.debugLoop(source, in, cfg, opts, r.executor(ds, opts), vTrain, vTest, ds, res, sp)
+}
+
+// executor builds the pipeline executor every stage of a run uses;
+// callers set only AllowNoTrain and Span on what it returns.
+func (r *Runner) executor(ds *data.Dataset, opts Options) *pipescript.Executor {
+	return &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics}
 }
 
 // debugLoop is the shared fix loop used by finalValidate and the
@@ -581,7 +573,8 @@ func (r *Runner) resumeOnFullData(source string, firstErr error, in prompt.Input
 	sp := parent.Child("resume-debug")
 	sp.SetStr("cause", errkb.Classify(firstErr).Code)
 	defer sp.End()
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, DAG: opts.DAG, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows, Span: sp}
+	ex := r.executor(ds, opts)
+	ex.Span = sp
 	dstart := obs.Now()
 	fixed, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
 	genDur := obs.Since(dstart)

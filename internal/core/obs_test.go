@@ -47,9 +47,9 @@ func TestTracedRunBitIdentical(t *testing.T) {
 // full live ops plane: one arm runs bare, the other runs with tracer,
 // metrics, a sampling runtime collector, AND an attached debug HTTP
 // server being actively scraped (/metrics, /api/spans,
-// /api/critical-path) while the run is in flight. DAG scheduling is on
-// in both arms so the executor's dag-wave/dag-node span emission is
-// exercised under concurrent snapshots. Everything except wall-clock
+// /api/critical-path) while the run is in flight. The executor's
+// default DAG scheduling emits dag-wave/dag-node spans, so that emission
+// is exercised under concurrent snapshots. Everything except wall-clock
 // durations must match exactly.
 func TestOpsServerRunBitIdentical(t *testing.T) {
 	ds := loadDS(t, "CMC", 0.5)
@@ -96,7 +96,7 @@ func TestOpsServerRunBitIdentical(t *testing.T) {
 				_ = srv.Close()
 			}
 		}
-		res, err := r.Run(ds, Options{Seed: 11, NoRefine: true, DAG: true})
+		res, err := r.Run(ds, Options{Seed: 11, NoRefine: true})
 		if cleanup != nil {
 			cleanup()
 		}

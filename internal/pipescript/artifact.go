@@ -74,19 +74,18 @@ type FittedPipeline struct {
 	Steps     []FittedStep    `json:"steps"`
 	Model     *ml.FittedModel `json:"model"`
 
-	// Runtime knobs — never serialized. Workers bounds inference
-	// goroutines (0 = GOMAXPROCS, 1 = serial; predictions are identical
-	// at any setting). ShardRows sets the row-shard chunk size for
-	// transform-time elementwise loops (0 = default, negative = serial),
-	// and DAG schedules independent recorded steps as waves; both knobs
-	// leave outputs bit-identical. Metrics, when set, records per-stage
-	// transform latencies and prediction counters; nil disables with
-	// zero overhead.
-	Workers   int           `json:"-"`
-	ShardRows int           `json:"-"`
-	DAG       bool          `json:"-"`
-	Metrics   *obs.Registry `json:"-"`
+	// Runtime settings — never serialized. Workers bounds the goroutines
+	// transform-time row shards and inference use (0 = GOMAXPROCS,
+	// 1 = serial; predictions are identical at any setting). Metrics,
+	// when set, records per-stage transform latencies and prediction
+	// counters; nil disables with zero overhead.
+	Workers int           `json:"-"`
+	Metrics *obs.Registry `json:"-"`
 
+	// shardRows overrides the row-shard chunk size (0 = default,
+	// negative = serial row loops); only tests and the serial benchmark
+	// pass set it.
+	shardRows int
 	// model caches the reconstructed live model across Predict calls.
 	model any
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"catdb/internal/data"
@@ -341,6 +342,15 @@ evaluate metric=auto
 		bad.Model = nil
 		_, err := bad.Predict(te)
 		wantCode(t, err, ErrArtifactModel)
+	})
+	t.Run("unknown_step", func(t *testing.T) {
+		bad := *fp
+		bad.Steps = append([]FittedStep{{Op: "no_such_op", Col: "num"}}, fp.Steps...)
+		_, err := bad.Predict(te)
+		wantCode(t, err, ErrStepFailed)
+		if !strings.Contains(err.Error(), `step 0 (no_such_op on "num")`) {
+			t.Fatalf("err = %v, want it to name the failing step", err)
+		}
 	})
 }
 

@@ -45,14 +45,15 @@ type segment struct {
 	barrier *Stmt
 }
 
-// segmentProgram splits the statement list at barriers.
-func segmentProgram(p *Program) []segment {
+// segmentProgram splits the statement list at barriers. With serial
+// set every statement is a barrier: one empty segment per statement.
+func segmentProgram(p *Program, serial bool) []segment {
 	var segs []segment
 	cur := segment{}
 	for i := range p.Stmts {
 		st := p.Stmts[i]
 		spec := opRegistry[st.Op]
-		if spec == nil || spec.isBarrierStmt(st) {
+		if serial || spec == nil || spec.isBarrierStmt(st) {
 			cur.barrier = &p.Stmts[i]
 			segs = append(segs, cur)
 			cur = segment{}
@@ -226,7 +227,7 @@ func RenderDAG(p *Program, cols []string, target string) string {
 	for _, c := range cols {
 		present[c] = true
 	}
-	segs := segmentProgram(p)
+	segs := segmentProgram(p, false)
 	fmt.Fprintf(&b, "dag %q: %d statement(s), %d segment(s)\n", p.Name, len(p.Stmts), len(segs))
 	start := 0
 	for si, seg := range segs {

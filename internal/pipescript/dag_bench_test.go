@@ -10,17 +10,18 @@ import (
 	"catdb/internal/data"
 )
 
-// BenchmarkDAGPreprocess measures the DAG scheduler against linear
-// execution on a wide multi-branch preprocessing program over a
-// 100k-row table: per-column impute/winsorize/log_transform/scale
-// chains on the numeric columns and dedup_values/onehot chains on the
-// categorical ones — 18 independent branches with no cross-column
-// dependencies, the best case for wave scheduling.
+// BenchmarkDAGPreprocess measures the executor's default statement DAG
+// against the linear reference on a wide multi-branch preprocessing
+// program over a 100k-row table: per-column
+// impute/winsorize/log_transform/scale chains on the numeric columns and
+// dedup_values/onehot chains on the categorical ones — 18 independent
+// branches with no cross-column dependencies, the best case for wave
+// scheduling. Row sharding runs at its default in both passes, so the
+// gap is the statement DAG alone.
 //
-// `make bench` runs this twice: BENCH_BASELINE=dag (alias:
-// BENCH_DAG_MODE=serial) captures the linear baseline into
-// BENCH_dag.json, then the default DAG pass records the scheduled
-// numbers against it.
+// `make bench` runs this twice: BENCH_BASELINE=dag captures the linear
+// reference into BENCH_dag.json, then the default pass records the
+// scheduled numbers against it.
 func BenchmarkDAGPreprocess(b *testing.B) {
 	const rows = 100_000
 	const numCols = 12
@@ -64,7 +65,7 @@ func BenchmarkDAGPreprocess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dag := !baseline.Lane("dag", "BENCH_DAG_MODE", "serial")
+	linear := baseline.Lane("dag")
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("rows=%d/branches=%d/workers=%d", rows, numCols+catCols, workers)
 		b.Run(name, func(b *testing.B) {
@@ -72,7 +73,7 @@ func BenchmarkDAGPreprocess(b *testing.B) {
 				b.StopTimer()
 				tr := base.Clone()
 				te := base.Head(512)
-				ex := &Executor{Seed: 1, AllowNoTrain: true, DAG: dag, Workers: workers}
+				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers, linear: linear}
 				b.StartTimer()
 				if _, err := ex.Execute(p, tr, te); err != nil {
 					b.Fatal(err)

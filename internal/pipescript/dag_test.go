@@ -2,7 +2,9 @@ package pipescript
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -15,16 +17,20 @@ import (
 // dagWorkerCounts are the pool sizes every equivalence test sweeps.
 var dagWorkerCounts = []int{1, 2, 4, 8}
 
-// execBothWays runs the program linearly and as a DAG at every worker
-// count and requires bit-identical results and errors.
+// execBothWays runs the program through the linear reference and then
+// through the default executor at every worker count, requiring
+// bit-identical results and errors.
 func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
-	lin := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
+	refReg := obs.NewRegistry()
+	lin := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, linear: true, Metrics: refReg}
 	wantRes, wantErr := lin.Execute(p, tr, te)
 	for _, w := range dagWorkerCounts {
-		dag := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, DAG: true, Workers: w}
+		reg := obs.NewRegistry()
+		dag := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w, Metrics: reg}
 		gotRes, gotErr := dag.Execute(p, tr, te)
+		checkScheduling(t, fmt.Sprintf("workers=%d", w), p, refReg, reg, gotErr)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("workers=%d: linear err=%v dag err=%v", w, wantErr, gotErr)
 		}
@@ -41,6 +47,44 @@ func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, t
 		}
 	}
 	return wantRes, wantErr
+}
+
+// checkScheduling keeps the equivalence oracle from comparing the DAG
+// with itself: the reference run must have scheduled no segment, and
+// the default run must have scheduled one whenever it reached a segment
+// of more than one statement.
+func checkScheduling(t *testing.T, label string, p *Program, ref, got *obs.Registry, gotErr error) {
+	t.Helper()
+	if n := scheduledSegments(ref); n != 0 {
+		t.Fatalf("%s: linear reference scheduled %d segment(s)", label, n)
+	}
+	if reachesMultiStmtSegment(p, gotErr) && scheduledSegments(got) == 0 {
+		t.Fatalf("%s: default run scheduled no segment", label)
+	}
+}
+
+// scheduledSegments is catdb_dag_segments_total summed over its modes.
+func scheduledSegments(reg *obs.Registry) int64 {
+	return reg.Counter("catdb_dag_segments_total", "mode", "parallel").Value() +
+		reg.Counter("catdb_dag_segments_total", "mode", "linear").Value()
+}
+
+// reachesMultiStmtSegment reports whether an execution that ended with
+// err started a segment of more than one statement: a failing statement
+// stops execution at its line, so only segments starting at or before
+// that line ran.
+func reachesMultiStmtSegment(p *Program, err error) bool {
+	last := math.MaxInt
+	var re *RuntimeError
+	if errors.As(err, &re) {
+		last = re.Line
+	}
+	for _, seg := range segmentProgram(p, false) {
+		if len(seg.stmts) > 1 && seg.stmts[0].Line <= last {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDAGMatchesLinearWidePipeline(t *testing.T) {
@@ -160,7 +204,7 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	lin := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
+	lin := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true}
 	_, wantFP, err := lin.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +214,7 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range dagWorkerCounts {
-		dag := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, DAG: true, Workers: w}
+		dag := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
 		_, gotFP, err := dag.Fit(p, tr, te)
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +285,7 @@ train model=naive_bayes target="y"
 	counters := func(w int) map[string]int64 {
 		tr, te := split(messyTable(300, 4), 5)
 		reg := obs.NewRegistry()
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, DAG: true, Workers: w, Metrics: reg}
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: w, Metrics: reg}
 		if _, err := ex.Execute(p, tr, te); err != nil {
 			t.Fatal(err)
 		}

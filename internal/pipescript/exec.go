@@ -57,29 +57,16 @@ type Executor struct {
 	// Policy, when set, enforces organizational library constraints
 	// (disallowed models/packages raise E_POLICY).
 	Policy *Policy
-	// Workers bounds the goroutines tree ensembles and KNN use for fitting
-	// and batch inference (0 = GOMAXPROCS, 1 = serial). Models derive
-	// per-tree/per-class seeds, so results are identical at any setting.
-	// With DAG set it also bounds concurrent pipeline statements.
+	// Workers is the one execution knob: it bounds the goroutines shared
+	// by the statement DAG's waves, row-shard fan-outs, and the tree/KNN
+	// models (0 = GOMAXPROCS, 1 = serial). Independent statements run
+	// concurrently (schedule.go) and long elementwise loops split into
+	// row shards (sharder.go); results, fitted artifacts, errors, and
+	// metric counters are bit-identical at any setting.
 	Workers int
-	// DAG schedules independent statements (disjoint column footprints
-	// between barriers) concurrently over internal/pool instead of
-	// executing the program linearly. Results, fitted artifacts, and
-	// errors are bit-identical to linear execution at any Workers
-	// setting; statements whose column references cannot be resolved
-	// statically fall back to linear execution automatically.
-	DAG bool
-	// ShardRows caps the rows one shard task covers when elementwise op
-	// loops are split across workers (0 = the 32768 default; negative
-	// disables row sharding). Whether and how a loop shards depends only
-	// on the row count and this setting — never on Workers — and shards
-	// write disjoint row ranges, so results, artifacts, errors, and the
-	// catdb_shard_tasks_total metrics are bit-identical to serial
-	// execution at any (Workers, ShardRows).
-	ShardRows int
 	// Metrics, when set, records execution counts, latencies, and error
-	// codes (catdb_pipescript_*) into the observability registry. Nil
-	// disables recording with zero overhead.
+	// codes (catdb_pipescript_*, catdb_dag_*, catdb_shard_*) into the
+	// observability registry. Nil disables recording with zero overhead.
 	Metrics *obs.Registry
 	// Span, when set, parents the DAG scheduler's span tree: one
 	// dag-segment span per parallel segment, dag-wave per Kahn wave,
@@ -97,10 +84,18 @@ type Executor struct {
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
 
+	// The serial references the equivalence tests and the two-pass
+	// benchmarks compare against; only tests set them. linear runs every
+	// statement on its own, in program order, instead of scheduling
+	// segments; shardRows overrides the row-shard chunk size
+	// (0 = defaultShardRows, negative = serial row loops).
+	linear    bool
+	shardRows int
+
 	// Per-execution row-shard state, set by execute: the shared worker
 	// budget (also consumed by the DAG wave scheduler, so waves × shards
 	// never oversubscribe Workers) and the sharder elementwise op loops
-	// fan out through (nil when ShardRows < 0).
+	// fan out through (nil when shardRows < 0).
 	budget *workerBudget
 	sh     *sharder
 }
@@ -136,21 +131,13 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 		maxOH = 64
 	}
 	e.budget = newWorkerBudget(e.Workers)
-	e.sh = newSharder(e.ShardRows, e.budget, e.Metrics)
+	e.sh = newSharder(e.shardRows, e.budget, e.Metrics)
 	defer func() { e.budget, e.sh = nil, nil }()
 	res := &Result{Program: p}
 
 	trained := false
-	if e.DAG {
-		if err := e.executeDAG(p, tr, te, maxOH, res, &trained); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, st := range p.Stmts {
-			if err := e.execStmt(st, tr, te, maxOH, res, &trained); err != nil {
-				return nil, err
-			}
-		}
+	if err := e.executeDAG(p, tr, te, maxOH, res, &trained); err != nil {
+		return nil, err
 	}
 	if !trained {
 		if e.AllowNoTrain {

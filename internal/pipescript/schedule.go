@@ -25,10 +25,13 @@ type nodeOutcome struct {
 	seconds float64
 }
 
-// executeDAG runs the program segment-by-segment: parallel waves for
-// resolvable non-barrier runs, plain execStmt for everything else.
+// executeDAG is the executor's statement loop: it runs the program
+// segment-by-segment, parallel waves for resolvable non-barrier runs and
+// plain execStmt for everything else. The linear reference makes every
+// statement its own barrier, so the same loop then runs the program in
+// statement order and schedules nothing.
 func (e *Executor) executeDAG(p *Program, tr, te *data.Table, maxOH int, res *Result, trained *bool) error {
-	linear := func(stmts []Stmt) error {
+	inOrder := func(stmts []Stmt) error {
 		for _, st := range stmts {
 			if err := e.execStmt(st, tr, te, maxOH, res, trained); err != nil {
 				return err
@@ -36,10 +39,10 @@ func (e *Executor) executeDAG(p *Program, tr, te *data.Table, maxOH int, res *Re
 		}
 		return nil
 	}
-	for _, seg := range segmentProgram(p) {
+	for _, seg := range segmentProgram(p, e.linear) {
 		if len(seg.stmts) == 1 {
 			// A single statement gains nothing from scheduling.
-			if err := linear(seg.stmts); err != nil {
+			if err := inOrder(seg.stmts); err != nil {
 				return err
 			}
 		} else if len(seg.stmts) > 1 {
@@ -50,7 +53,7 @@ func (e *Executor) executeDAG(p *Program, tr, te *data.Table, maxOH int, res *Re
 			nodes, _, ok := resolveSegment(seg.stmts, 0, present, e.Target)
 			if !ok {
 				e.countSegment("linear")
-				if err := linear(seg.stmts); err != nil {
+				if err := inOrder(seg.stmts); err != nil {
 					return err
 				}
 			} else {
@@ -65,7 +68,7 @@ func (e *Executor) executeDAG(p *Program, tr, te *data.Table, maxOH int, res *Re
 			}
 		}
 		if seg.barrier != nil {
-			if err := linear([]Stmt{*seg.barrier}); err != nil {
+			if err := inOrder([]Stmt{*seg.barrier}); err != nil {
 				return err
 			}
 		}

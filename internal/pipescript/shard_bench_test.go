@@ -36,15 +36,15 @@ func shardBenchTable(rows int) *data.Table {
 	return tab
 }
 
-// BenchmarkShardElementwise measures row-sharded execution of a deep
-// elementwise chain over a 1M-row table. The chain is column-dependent
-// (each op consumes its predecessor's output), so the statement DAG
-// cannot parallelize it — any speedup comes from the row-shard axis.
+// BenchmarkShardElementwise measures row-sharded execution of deep
+// elementwise chains over a 1M-row table. Each chain is column-dependent
+// (each op consumes its predecessor's output), so the statement DAG can
+// overlap at most the four chains; both passes run it, so the gap
+// between them is the row-shard axis alone.
 //
-// `make bench` runs this twice: BENCH_BASELINE=shard (alias:
-// BENCH_SHARD_MODE=serial) captures the serial row-loop baseline into
-// BENCH_shard.json, then the default sharded pass records the parallel
-// numbers against it.
+// `make bench` runs this twice: BENCH_BASELINE=shard captures the
+// serial row-loop baseline into BENCH_shard.json, then the default
+// sharded pass records the parallel numbers against it.
 func BenchmarkShardElementwise(b *testing.B) {
 	const rows = 1_000_000
 	base := shardBenchTable(rows)
@@ -64,7 +64,7 @@ onehot "cat"
 		b.Fatal(err)
 	}
 	shardRows := 0 // default chunk size
-	if baseline.Lane("shard", "BENCH_SHARD_MODE", "serial") {
+	if baseline.Lane("shard") {
 		shardRows = -1 // serial row loops
 	}
 	for _, workers := range []int{4} {
@@ -74,7 +74,7 @@ onehot "cat"
 				b.StopTimer()
 				tr := base.Clone()
 				te := base.Head(512)
-				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers, ShardRows: shardRows}
+				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers, shardRows: shardRows}
 				b.StartTimer()
 				if _, err := ex.Execute(p, tr, te); err != nil {
 					b.Fatal(err)
@@ -86,9 +86,8 @@ onehot "cat"
 
 // BenchmarkShardBatchScore measures batched serving: one artifact is
 // fitted up front, then each iteration transforms and scores a 500k-row
-// batch through the fitted pipeline. The serial lane disables both the
-// row sharder and the serving step-DAG; the default pass enables both,
-// exercising the two parallelism axes together on the serving path.
+// batch through the fitted pipeline. The serial lane disables the row
+// sharder; the default pass shards, so the gap is row sharding alone.
 func BenchmarkShardBatchScore(b *testing.B) {
 	const batchRows = 500_000
 	fitTab := shardBenchTable(20_000)
@@ -117,16 +116,14 @@ train model=random_forest target="y" trees=15
 		b.Fatal(err)
 	}
 	batch := shardBenchTable(batchRows)
-	serial := baseline.Lane("shard", "BENCH_SHARD_MODE", "serial")
+	shardRows := 0 // default chunk size
+	if baseline.Lane("shard") {
+		shardRows = -1 // serial row loops
+	}
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("batch=%d/workers=%d", batchRows, workers)
 		b.Run(name, func(b *testing.B) {
-			fp.Workers = workers
-			if serial {
-				fp.ShardRows, fp.DAG = -1, false
-			} else {
-				fp.ShardRows, fp.DAG = 0, true
-			}
+			fp.Workers, fp.shardRows = workers, shardRows
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fp.Predict(batch); err != nil {

@@ -19,37 +19,40 @@ var (
 	shardWorkersSweep = []int{1, 2, 8}
 )
 
-// execShardWays runs the program with row sharding disabled (the serial
-// baseline) and then across the full (shardRows, workers, dag) sweep,
-// requiring bit-identical results and errors everywhere.
+// execShardWays runs the serial reference (linear statements, serial
+// row loops, one worker) and then the default executor across the full
+// (shardRows, workers) sweep, requiring bit-identical results and errors
+// everywhere.
 func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table), target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
-	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, ShardRows: -1, Workers: 1}
+	refReg := obs.NewRegistry()
+	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
+		linear: true, shardRows: -1, Workers: 1, Metrics: refReg}
 	wantRes, wantErr := base.Execute(p, tr, te)
-	for _, dag := range []bool{false, true} {
-		for _, sr := range shardRowsSweep {
-			for _, w := range shardWorkersSweep {
-				tr, te := mk()
-				ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-					ShardRows: sr, Workers: w, DAG: dag}
-				gotRes, gotErr := ex.Execute(p, tr, te)
-				label := fmt.Sprintf("dag=%v shardRows=%d workers=%d", dag, sr, w)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+	for _, sr := range shardRowsSweep {
+		for _, w := range shardWorkersSweep {
+			tr, te := mk()
+			reg := obs.NewRegistry()
+			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
+				shardRows: sr, Workers: w, Metrics: reg}
+			gotRes, gotErr := ex.Execute(p, tr, te)
+			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
+			checkScheduling(t, label, p, refReg, reg, gotErr)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
 				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
-					}
-					continue
-				}
-				a, b := *wantRes, *gotRes
-				a.Program, b.Program = nil, nil
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
-				}
+				continue
+			}
+			a, b := *wantRes, *gotRes
+			a.Program, b.Program = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
 			}
 		}
 	}
@@ -153,7 +156,7 @@ train model=naive_bayes target="y"
 }
 
 // Error-carrying pipelines must raise the identical first error (same
-// line, code, message) at any shard setting, sharded or not, DAG or not.
+// line, code, message) at any shard setting, sharded or not.
 func TestShardMatchesSerialErrors(t *testing.T) {
 	for _, src := range []string{
 		"pipeline \"e\"\nimpute \"nope\" strategy=median\ntrain target=\"y\"\n",
@@ -180,7 +183,7 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, ShardRows: -1}
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true, shardRows: -1}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +194,7 @@ train model=random_forest target="y" trees=10
 	}
 	for _, sr := range shardRowsSweep {
 		for _, w := range shardWorkersSweep {
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, ShardRows: sr, Workers: w}
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, shardRows: sr, Workers: w}
 			_, gotFP, err := ex.Fit(p, tr, te)
 			if err != nil {
 				t.Fatal(err)
@@ -261,7 +264,7 @@ train model=naive_bayes target="y"
 	counters := func(w int) map[string]int64 {
 		tr, te := split(messyTable(900, 4), 5)
 		reg := obs.NewRegistry()
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, ShardRows: 64, Workers: w, Metrics: reg}
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, shardRows: 64, Workers: w, Metrics: reg}
 		if _, err := ex.Execute(p, tr, te); err != nil {
 			t.Fatal(err)
 		}
@@ -287,12 +290,12 @@ train model=naive_bayes target="y"
 	// Sharding disabled must record nothing.
 	tr, te := split(messyTable(900, 4), 5)
 	reg := obs.NewRegistry()
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, ShardRows: -1, Workers: 4, Metrics: reg}
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, shardRows: -1, Workers: 4, Metrics: reg}
 	if _, err := ex.Execute(p, tr, te); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(); got != 0 {
-		t.Fatalf("ShardRows=-1 still recorded %d shard tasks", got)
+		t.Fatalf("shardRows=-1 still recorded %d shard tasks", got)
 	}
 }
 
@@ -330,8 +333,8 @@ func TestOpShardClasses(t *testing.T) {
 }
 
 // The serving path: Transform and Predict must be bit-identical across
-// shard settings, worker counts, and the step-DAG toggle.
-func TestServingShardAndDAGIdentical(t *testing.T) {
+// shard settings and worker counts.
+func TestServingShardIdentical(t *testing.T) {
 	src := `pipeline "serve"
 impute "num" strategy=median
 dedup_values "cat"
@@ -350,7 +353,7 @@ train model=random_forest target="y" trees=10
 	batch := messyTable(400, 9)
 	batch.DropColumn("y")
 
-	fp.ShardRows, fp.Workers, fp.DAG = -1, 1, false
+	fp.shardRows, fp.Workers = -1, 1
 	wantT, err := fp.Transform(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -359,63 +362,33 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dag := range []bool{false, true} {
-		for _, sr := range shardRowsSweep {
-			for _, w := range shardWorkersSweep {
-				fp.ShardRows, fp.Workers, fp.DAG = sr, w, dag
-				gotT, err := fp.Transform(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("dag=%v shardRows=%d workers=%d", dag, sr, w)
-				if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
-				}
-				for _, name := range wantT.ColumnNames() {
-					wc, gc := wantT.Col(name), gotT.Col(name)
-					for i := 0; i < wc.Len(); i++ {
-						if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
-							t.Fatalf("%s: column %q row %d differs (%q vs %q)",
-								label, name, i, wc.ValueString(i), gc.ValueString(i))
-						}
+	for _, sr := range shardRowsSweep {
+		for _, w := range shardWorkersSweep {
+			fp.shardRows, fp.Workers = sr, w
+			gotT, err := fp.Transform(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
+			if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
+			}
+			for _, name := range wantT.ColumnNames() {
+				wc, gc := wantT.Col(name), gotT.Col(name)
+				for i := 0; i < wc.Len(); i++ {
+					if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
+						t.Fatalf("%s: column %q row %d differs (%q vs %q)",
+							label, name, i, wc.ValueString(i), gc.ValueString(i))
 					}
 				}
-				gotP, err := fp.Predict(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantP, gotP) {
-					t.Fatalf("%s: predictions differ", label)
-				}
+			}
+			gotP, err := fp.Predict(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantP, gotP) {
+				t.Fatalf("%s: predictions differ", label)
 			}
 		}
-	}
-}
-
-// The serving step-DAG must surface a step failure exactly as the
-// linear loop does (same step index, op, wrapped error), picking the
-// first failing step in step order.
-func TestServingDAGErrorMatchesLinear(t *testing.T) {
-	fp := &FittedPipeline{
-		Version: ArtifactVersion,
-		Steps: []FittedStep{
-			{Op: "impute", Col: "a", Num: 1},
-			{Op: "no_such_op", Col: "b"},
-			{Op: "no_such_op", Col: "c"},
-		},
-	}
-	tab := data.NewTable("t")
-	tab.MustAddColumn(data.NewNumeric("a", []float64{1, 2}))
-	tab.MustAddColumn(data.NewNumeric("b", []float64{1, 2}))
-	tab.MustAddColumn(data.NewNumeric("c", []float64{1, 2}))
-	fp.DAG = false
-	_, wantErr := fp.Transform(tab)
-	if wantErr == nil {
-		t.Fatal("expected the linear path to fail on the unknown step")
-	}
-	fp.DAG = true
-	_, gotErr := fp.Transform(tab)
-	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("step-DAG error mismatch\nlinear: %v\ndag:    %v", wantErr, gotErr)
 	}
 }

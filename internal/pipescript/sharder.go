@@ -30,8 +30,8 @@ import (
 // the executor's Workers in total, even when shard fan-outs fire
 // inside concurrently running DAG nodes.
 
-// defaultShardRows is the chunk size elementwise loops shard at when
-// the caller does not set ShardRows. Columns at or under this length
+// defaultShardRows is the chunk size elementwise loops shard at unless
+// a test overrides shardRows. Columns at or under this length
 // run serially — the fan-out overhead only pays for itself on slabs
 // well past L2 size.
 const defaultShardRows = 32768
@@ -93,7 +93,8 @@ type sharder struct {
 
 // newSharder builds the per-execution sharder. shardRows == 0 selects
 // defaultShardRows; shardRows < 0 disables row sharding entirely (nil
-// sharder), which is the serial baseline the bench two-pass captures.
+// sharder), which is the serial reference the equivalence tests and the
+// shard benchmark's baseline pass run.
 // The budget is shared with the DAG wave scheduler by the caller.
 func newSharder(shardRows int, budget *workerBudget, metrics *obs.Registry) *sharder {
 	if shardRows < 0 {
