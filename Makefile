@@ -113,15 +113,16 @@ verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
-# the baseline blocks in those files are preserved. The obs, predict,
-# dag and shard lanes repeat every benchmark (-count=5): benchjson folds
-# the repeats into medians and records the ns/op range beside them.
+# the baseline blocks in those files are preserved. The ml, obs,
+# predict, dag and shard lanes repeat every benchmark (-count=5):
+# benchjson folds the repeats into medians, records the ns/op range
+# beside them, and marks a speedup "(noise)" when the ranges overlap.
 #
 # Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
 # (lanes: data, ingest, dag, shard — see internal/bench/baseline).
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
-	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
+	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json

@@ -5,7 +5,7 @@
 // table is recomputed for every name present in both blocks. Repeated
 // runs of one benchmark (`-count=N`) fold into their median, with the
 // run count and the ns/op range kept alongside, and speedups compare
-// medians.
+// medians; a speedup whose two ns/op ranges overlap is marked "(noise)".
 //
 //	go test -run='^$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ \
 //	  | go run ./cmd/benchjson -o BENCH_profile.json
@@ -100,7 +100,7 @@ func main() {
 	f.Speedup = map[string]string{}
 	for name, cur := range f.Current {
 		if base, ok := f.Baseline[name]; ok && cur.NsPerOp > 0 {
-			f.Speedup[name] = fmt.Sprintf("%.2fx", base.NsPerOp/cur.NsPerOp)
+			f.Speedup[name] = speedup(base, cur)
 		}
 	}
 	if len(f.Speedup) == 0 {
@@ -115,6 +115,18 @@ func main() {
 		fatal("write %s: %v", *out, err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d entries to %s\n", len(parsed), *out)
+}
+
+// speedup formats the baseline/current median ratio, e.g. "1.42x". When
+// both entries carry an ns/op range and the ranges overlap, the change
+// lies inside the run-to-run spread and the ratio gains " (noise)".
+func speedup(base, cur Entry) string {
+	s := fmt.Sprintf("%.2fx", base.NsPerOp/cur.NsPerOp)
+	ranged := base.NsPerOpMax > 0 && cur.NsPerOpMax > 0
+	if ranged && base.NsPerOpMin <= cur.NsPerOpMax && cur.NsPerOpMin <= base.NsPerOpMax {
+		s += " (noise)"
+	}
+	return s
 }
 
 // parseBench reads `go test -bench` output, copying every line to echo,

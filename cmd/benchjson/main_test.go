@@ -31,3 +31,29 @@ func TestParseBenchFoldsRepeatsToMedian(t *testing.T) {
 		t.Fatalf("parseBench:\ngot  %+v\nwant %+v", got, want)
 	}
 }
+
+// A speedup is marked noise exactly when both entries carry ns/op ranges
+// and those ranges overlap; entries without ranges (single-run baselines
+// captured before repeats were folded) are never marked.
+func TestSpeedupMarksOverlappingRangesAsNoise(t *testing.T) {
+	ranged := func(med, lo, hi float64) Entry {
+		return Entry{Runs: 5, NsPerOp: med, NsPerOpMin: lo, NsPerOpMax: hi}
+	}
+	cases := []struct {
+		name      string
+		base, cur Entry
+		want      string
+	}{
+		{"disjoint", ranged(400, 380, 460), ranged(260, 220, 280), "1.54x"},
+		{"overlap", ranged(300, 250, 350), ranged(280, 240, 330), "1.07x (noise)"},
+		{"touching", ranged(300, 280, 350), ranged(200, 150, 280), "1.50x (noise)"},
+		{"slower overlap", ranged(200, 150, 260), ranged(250, 240, 300), "0.80x (noise)"},
+		{"unranged baseline", Entry{NsPerOp: 300}, ranged(280, 240, 330), "1.07x"},
+		{"unranged current", ranged(300, 250, 350), Entry{NsPerOp: 150}, "2.00x"},
+	}
+	for _, c := range cases {
+		if got := speedup(c.base, c.cur); got != c.want {
+			t.Errorf("%s: speedup = %q, want %q", c.name, got, c.want)
+		}
+	}
+}

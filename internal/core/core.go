@@ -255,6 +255,9 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 
 	gstart := obs.Now()
 	source := ""
+	// validated: the last prompt's debug loop ran source strictly (a
+	// train statement required) on the validation sample, and it passed.
+	validated := false
 	for _, pr := range prompts {
 		// Chain intermediate steps (preprocessing / feature engineering)
 		// legitimately have no train statement yet.
@@ -262,17 +265,27 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 		pr = prompt.WithCode(pr, source)
 		gsp := root.Child("generate")
 		gsp.SetStr("kind", string(pr.Kind))
-		src, err := r.generateAndFix(pr, in, cfg, opts, vTrain, vTest, ds, allowNoTrain, res, gsp)
+		src, passed, err := r.generateAndFix(pr, in, cfg, opts, vTrain, vTest, ds, allowNoTrain, res, gsp)
 		gsp.End()
 		if err != nil {
 			return nil, err
 		}
 		source = src
+		validated = passed && !allowNoTrain
 	}
 	// Validate the complete program strictly (a train statement is now
-	// mandatory).
+	// mandatory) unless the last prompt's loop just did: execution is
+	// deterministic, so re-running that source on the same sample with
+	// an identical executor could only repeat its success. In practice
+	// this re-validates only the handcrafted fallback, which debugLoop
+	// returns without running. prompt.Build always ends on a strict
+	// (pipeline or model-selection) prompt; the !allowNoTrain conjunct
+	// above guards against a future Build that ends on a non-strict one.
 	vsp := root.Child("final-validate")
-	source, err = r.finalValidate(source, in, cfg, opts, vTrain, vTest, ds, res, vsp)
+	vsp.SetBool("revalidated", !validated)
+	if !validated {
+		source, err = r.finalValidate(source, in, cfg, opts, vTrain, vTest, ds, res, vsp)
+	}
 	vsp.End()
 	if err != nil {
 		return nil, err
@@ -390,13 +403,14 @@ func topClassShare(t *data.Table, target string, task data.Task) float64 {
 }
 
 // generateAndFix submits one prompt and runs the τ₂-bounded debug loop of
-// Algorithm 4 against the validation sample.
+// Algorithm 4 against the validation sample, reporting (as debugLoop
+// does) whether the returned source passed execution.
 func (r *Runner) generateAndFix(pr prompt.Prompt, in prompt.Input, cfg prompt.Config, opts Options,
-	vTrain, vTest *data.Table, ds *data.Dataset, allowNoTrain bool, res *Result, sp *obs.Span) (string, error) {
+	vTrain, vTest *data.Table, ds *data.Dataset, allowNoTrain bool, res *Result, sp *obs.Span) (string, bool, error) {
 
 	resp, err := r.Client.Complete(pr.Text)
 	if err != nil {
-		return "", fmt.Errorf("core: llm: %w", err)
+		return "", false, fmt.Errorf("core: llm: %w", err)
 	}
 	res.Cost.PromptTokens += resp.Usage.PromptTokens
 	res.Cost.CompletionTokens += resp.Usage.CompletionTokens
@@ -448,7 +462,8 @@ func staticRepair(source string, in prompt.Input, task data.Task) string {
 func (r *Runner) finalValidate(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	vTrain, vTest *data.Table, ds *data.Dataset, res *Result, sp *obs.Span) (string, error) {
 
-	return r.debugLoop(source, in, cfg, opts, r.executor(ds, opts), vTrain, vTest, ds, res, sp)
+	fixed, _, err := r.debugLoop(source, in, cfg, opts, r.executor(ds, opts), vTrain, vTest, ds, res, sp)
+	return fixed, err
 }
 
 // executor builds the pipeline executor every stage of a run uses;
@@ -457,10 +472,12 @@ func (r *Runner) executor(ds *data.Dataset, opts Options) *pipescript.Executor {
 	return &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics}
 }
 
-// debugLoop is the shared fix loop used by finalValidate and the
-// full-data resume path.
+// debugLoop is the shared fix loop used by generation, finalValidate
+// and the full-data resume path. The bool reports that ex executed the
+// returned source successfully; it is false for the handcrafted
+// fallback, which the loop returns without running.
 func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, opts Options,
-	ex *pipescript.Executor, train, test *data.Table, ds *data.Dataset, res *Result, parent *obs.Span) (string, error) {
+	ex *pipescript.Executor, train, test *data.Table, ds *data.Dataset, res *Result, parent *obs.Span) (string, bool, error) {
 
 	var lastFixBy string
 	var lastCls errkb.Classified
@@ -492,7 +509,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 			if lastFixBy == "llm" && r.KB != nil {
 				r.KB.LearnFromFix(preFixSource, source, lastCls)
 			}
-			return source, nil
+			return source, true, nil
 		}
 		res.Cost.Attempts++
 		cls := errkb.Classify(execErr)
@@ -528,7 +545,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 			fresp, ferr := r.Client.Complete(ep.Text)
 			if ferr != nil {
 				asp.End()
-				return "", fmt.Errorf("core: llm error fix: %w", ferr)
+				return "", false, fmt.Errorf("core: llm error fix: %w", ferr)
 			}
 			res.Cost.ErrorPromptTokens += fresp.Usage.PromptTokens
 			res.Cost.ErrorCompletionTokens += fresp.Usage.CompletionTokens
@@ -560,7 +577,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 	if r.Metrics != nil {
 		r.Metrics.Counter("catdb_handcrafted_total").Inc()
 	}
-	return HandcraftPipeline(in), nil
+	return HandcraftPipeline(in), false, nil
 }
 
 // resumeOnFullData continues error correction when the validated pipeline
@@ -576,7 +593,7 @@ func (r *Runner) resumeOnFullData(source string, firstErr error, in prompt.Input
 	ex := r.executor(ds, opts)
 	ex.Span = sp
 	dstart := obs.Now()
-	fixed, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
+	fixed, _, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
 	genDur := obs.Since(dstart)
 	if err != nil {
 		return "", nil, genDur, err

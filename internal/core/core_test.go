@@ -267,11 +267,11 @@ func TestDebugLoopNoOpKBPatchFallsThroughToLLM(t *testing.T) {
 	src := "pipeline \"noop\"\ntrain model=random_forest target=\"y\"\n"
 	ex := &pipescript.Executor{Target: "y", Task: data.Binary, Seed: 1}
 	res := &Result{}
-	out, err := r.debugLoop(src, in, prompt.DefaultConfig(), Options{Seed: 1, MaxAttempts: 15}, ex, tr, te, ds, res, nil)
+	out, passed, err := r.debugLoop(src, in, prompt.DefaultConfig(), Options{Seed: 1, MaxAttempts: 15}, ex, tr, te, ds, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Handcrafted {
+	if res.Handcrafted || !passed {
 		t.Fatal("no-op KB patch must not exhaust the τ₂ budget")
 	}
 	if res.Cost.KBFixes != 0 {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,5 +188,93 @@ func TestDebugLoopTraceFixedSemantics(t *testing.T) {
 	}
 	if fixed == len(r.Traces.Traces) && len(r.Traces.Traces) > 3 {
 		t.Fatalf("all %d traces marked fixed — Fixed is not being derived from outcomes", fixed)
+	}
+}
+
+// finalValidateSpan returns the run's one final-validate span and its
+// revalidated attribute.
+func finalValidateSpan(t *testing.T, tr *obs.Tracer) (obs.SpanData, bool) {
+	t.Helper()
+	var found []obs.SpanData
+	for _, s := range tr.Snapshot() {
+		if s.Name == "final-validate" {
+			found = append(found, s)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("want one final-validate span, got %d", len(found))
+	}
+	v, ok := found[0].Attrs["revalidated"].(bool)
+	if !ok {
+		t.Fatalf("final-validate span has no revalidated bool: %v", found[0].Attrs)
+	}
+	return found[0], v
+}
+
+// TestCleanRunSkipsRevalidation pins validation to one strict run per
+// pipeline: a β=1 run whose generated pipeline passes the validation
+// sample at once is not run strictly on that sample a second time. Its
+// final-validate span says revalidated=false, and the executor runs
+// twice: once on the sample, once on the full split.
+func TestCleanRunSkipsRevalidation(t *testing.T) {
+	ds := loadDS(t, "CMC", 0.4)
+	c, err := llm.New("llama3.1-70b", 901)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(c)
+	r.Tracer = obs.New()
+	r.Metrics = obs.NewRegistry()
+	res, err := r.Run(ds, Options{Seed: 1, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost.Attempts != 0 || res.Handcrafted {
+		t.Fatalf("want a clean run, got %d repair attempts (handcrafted=%v)", res.Cost.Attempts, res.Handcrafted)
+	}
+	if _, revalidated := finalValidateSpan(t, r.Tracer); revalidated {
+		t.Error("a pipeline that just passed strict validation was re-validated")
+	}
+	if got := r.Metrics.Counter("catdb_pipescript_execs_total").Value(); got != 2 {
+		t.Errorf("catdb_pipescript_execs_total = %d, want 2 (sample run + full-split run)", got)
+	}
+}
+
+// TestHandcraftedFallbackIsRevalidated pins the other side: when the
+// last prompt exhausts τ₂, the handcrafted fallback has never run, so
+// it still gets its strict run on the validation sample, and passes it
+// without a repair attempt before the full split.
+func TestHandcraftedFallbackIsRevalidated(t *testing.T) {
+	ds := loadDS(t, "CMC", 0.4)
+	c, err := llm.New("llama3.1-70b", 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(c)
+	r.Tracer = obs.New()
+	r.Metrics = obs.NewRegistry()
+	res, err := r.Run(ds, Options{Seed: 0, MaxAttempts: 1, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Handcrafted || !strings.Contains(res.Pipeline, `-handcrafted"`) {
+		t.Fatalf("want the handcrafted fallback, got handcrafted=%v:\n%s", res.Handcrafted, res.Pipeline)
+	}
+	fv, revalidated := finalValidateSpan(t, r.Tracer)
+	if !revalidated {
+		t.Fatal("the handcrafted fallback skipped strict validation")
+	}
+	for _, s := range r.Tracer.Snapshot() {
+		if s.Name == "debug-attempt" && s.Parent == fv.ID {
+			t.Fatalf("the handcrafted fallback failed strict validation: %v", s.Attrs)
+		}
+	}
+	// The generated pipeline's failed sample run, the fallback's strict
+	// sample run, and the full-split run.
+	if got := r.Metrics.Counter("catdb_pipescript_execs_total").Value(); got != 3 {
+		t.Errorf("catdb_pipescript_execs_total = %d, want 3", got)
+	}
+	if res.Exec == nil {
+		t.Fatal("no full-split result")
 	}
 }

@@ -118,6 +118,41 @@ func BenchmarkMLForestFitReg(b *testing.B) {
 	}
 }
 
+// validationRows is the sample every generated pipeline is validated on
+// before its full-split run (Alg. 4; core.Options.ValidationRows). At
+// this size BackendAuto resolves to the exact sweep (autoHistMinRows).
+const validationRows = 500
+
+// BenchmarkMLForestFitExactClass is the cold classification-forest fit
+// on the validation-sample shape: the exact sort-and-sweep at every node.
+func BenchmarkMLForestFitExactClass(b *testing.B) {
+	X := benchMatrix(validationRows, benchFeatures, 42)
+	yc := benchLabels(X, benchClasses, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1, Backend: BackendExact})
+		if err := f.FitClass(X, yc, benchClasses); err != nil {
+			b.Fatal(err)
+		}
+		sink(f.Proba(X[:1])[0][0])
+	}
+}
+
+// BenchmarkMLForestFitExactReg is the exact-backend regression fit on
+// the validation-sample shape.
+func BenchmarkMLForestFitExactReg(b *testing.B) {
+	X := benchMatrix(validationRows, benchFeatures, 42)
+	yr := benchTarget(X, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1, Backend: BackendExact})
+		if err := f.Fit(X, yr); err != nil {
+			b.Fatal(err)
+		}
+		sink(f.Predict(X[:1])[0])
+	}
+}
+
 // BenchmarkMLGBMFitClass is the cold one-vs-rest boosted fit (rounds ×
 // classes tree fits over the same matrix).
 func BenchmarkMLGBMFitClass(b *testing.B) {

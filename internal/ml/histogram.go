@@ -4,8 +4,8 @@ import "math/rand"
 
 // grower is the per-tree construction state shared by both split
 // backends. It owns the tree's RNG, the optional binned matrix, a slab
-// free-list for histogram reuse, and the optional per-row train
-// prediction capture used by boosting.
+// free-list for histogram reuse, the exact sweep's sort buffer, and the
+// optional per-row train prediction capture used by boosting.
 type grower struct {
 	t    *Tree
 	X    [][]float64
@@ -21,10 +21,14 @@ type grower struct {
 	slabLen int
 	statLen int
 	free    [][]float64
-	// Sweep scratch (classification).
+	// Sweep scratch (classification), shared by both backends; totals
+	// holds the node's class counts after impurity.
 	scratchL []float64
 	scratchR []float64
 	totals   []float64
+	// Exact-sweep sort buffer, grown to the largest exact node so far:
+	// on the exact backend that is the root, one allocation per tree.
+	arr []vy
 }
 
 func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []float64, rng *rand.Rand) *grower {
@@ -42,6 +46,21 @@ func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []flo
 		g.totals = make([]float64, t.classes)
 	}
 	return g
+}
+
+// classCodes converts float labels to class indices, with -1 for labels
+// outside [0,classes): those are ignored, as in the exact sweep. classes
+// must not exceed maxClasses, which fitRows checks.
+func classCodes(y []float64, classes int) []int16 {
+	yc := make([]int16, len(y))
+	for i, v := range y {
+		c := int(v)
+		if c < 0 || c >= classes {
+			c = -1
+		}
+		yc[i] = int16(c)
+	}
+	return yc
 }
 
 // grow builds the subtree over rows idx. slab, when non-nil, is this
@@ -66,7 +85,7 @@ func (g *grower) grow(idx []int, depth int, slab []float64) *treeNode {
 	} else {
 		g.release(slab)
 		slab = nil
-		feat, thr, ok = t.bestSplit(g.X, g.y, idx, g.rng)
+		feat, thr, ok = g.bestSplit(idx)
 	}
 	if !ok {
 		g.release(slab)
@@ -288,20 +307,12 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 	n := len(idx)
 	nn := float64(n)
 	bestGain := 0.0
-	parentImp := t.impurity(g.y, idx)
+	parentImp := g.impurity(idx)
 
 	if t.classes > 0 {
 		classes := t.classes
 		fw := bm.maxBins * classes
 		totals := g.totals
-		for c := range totals {
-			totals[c] = 0
-		}
-		for _, r := range idx {
-			if c := g.yc[r]; c >= 0 {
-				totals[c]++
-			}
-		}
 		left, right := g.scratchL, g.scratchR
 		for _, f := range feats {
 			nb := bm.bins[f]

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Backend selects how a tree finds splits.
@@ -146,6 +146,9 @@ func checkBinned(bm *BinnedMatrix, n int) error {
 // training row's leaf value during growth so boosting needs no
 // re-traversal of X after each round.
 func (t *Tree) fitRows(bm *BinnedMatrix, X [][]float64, yf []float64, classes int, rows []int, pred []float64) error {
+	if classes > maxClasses {
+		return fmt.Errorf("ml: %d classes exceed the tree limit of %d", classes, maxClasses)
+	}
 	t.classes = classes
 	if rows == nil {
 		rows = allRows(len(yf))
@@ -167,18 +170,15 @@ func (t *Tree) fitRows(bm *BinnedMatrix, X [][]float64, yf []float64, classes in
 	}
 	g := newGrower(t, X, bm, yf, pred, rand.New(rand.NewSource(t.Config.Seed)))
 	if classes > 0 {
-		g.yc = make([]int16, len(yf))
-		for i, v := range yf {
-			c := int(v)
-			if c < 0 || c >= classes {
-				c = -1 // out-of-range labels are ignored, as in the exact sweep
-			}
-			g.yc[i] = int16(c)
-		}
+		g.yc = classCodes(yf, classes)
 	}
 	t.root = g.grow(rows, 0, nil)
 	return nil
 }
+
+// maxClasses is the largest class count a tree accepts: both split
+// backends count classes from int16 label codes (classCodes).
+const maxClasses = math.MaxInt16
 
 func errClasses(c int) error { return fmt.Errorf("ml: need at least 2 classes, got %d", c) }
 
@@ -244,12 +244,33 @@ func allRows(n int) []int {
 	return idx
 }
 
+// vy pairs a feature value with its row's target in the exact sweep.
+type vy struct{ v, y float64 }
+
+// cmpVY orders pairs by value. It is negative exactly when a.v < b.v
+// (NaN is neither less nor greater than anything), and slices.SortFunc
+// and sort.Slice are generated from one pdqsort template that consults
+// only that "less" bit, so the sort makes the same comparisons and swaps
+// as sort.Slice with a.v < b.v and leaves the same permutation, ties
+// included — without sort.Slice's reflection swapper and closure.
+func cmpVY(a, b vy) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
 // bestSplit scans (a sample of) features for the impurity-minimizing
 // split using a sort-and-sweep: rows are ordered by feature value once and
-// prefix statistics give each candidate boundary's gain in O(1).
-func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) (feat int, thr float64, ok bool) {
+// prefix statistics give each candidate boundary's gain in O(1). The sort
+// buffer and class counts are the grower's, reused by every node.
+func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
+	t, X, y := g.t, g.X, g.y
 	nf := len(X[0])
-	feats := rng.Perm(nf)
+	feats := g.rng.Perm(nf)
 	if t.Config.FeatureFrac > 0 && t.Config.FeatureFrac < 1 {
 		k := int(float64(nf)*t.Config.FeatureFrac + 0.999)
 		if k < 1 {
@@ -259,20 +280,18 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 	}
 	n := len(idx)
 	bestGain := 0.0
-	parentImp := t.impurity(y, idx)
-	type vy struct{ v, y float64 }
-	arr := make([]vy, n)
-	// Classification sweep state.
-	var leftCounts, rightCounts []float64
-	if t.classes > 0 {
-		leftCounts = make([]float64, t.classes)
-		rightCounts = make([]float64, t.classes)
+	parentImp := g.impurity(idx)
+	if cap(g.arr) < n {
+		g.arr = make([]vy, n)
 	}
+	arr := g.arr[:n]
+	// Classification sweep state.
+	leftCounts, rightCounts := g.scratchL, g.scratchR
 	for _, f := range feats {
 		for i, r := range idx {
 			arr[i] = vy{X[r][f], y[r]}
 		}
-		sort.Slice(arr, func(a, b int) bool { return arr[a].v < arr[b].v })
+		slices.SortFunc(arr, cmpVY)
 		if arr[0].v == arr[n-1].v {
 			continue // constant feature in this node
 		}
@@ -283,12 +302,8 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 			stride = n / t.Config.MaxThresholds
 		}
 		if t.classes > 0 {
-			for c := range leftCounts {
-				leftCounts[c] = 0
-			}
-			for c := range rightCounts {
-				rightCounts[c] = 0
-			}
+			clear(leftCounts)
+			clear(rightCounts)
 			for i := 0; i < n; i++ {
 				c := int(arr[i].y)
 				if c >= 0 && c < t.classes {
@@ -376,28 +391,29 @@ func varFromSums(sum, sq, n float64) float64 {
 	return v
 }
 
-// impurity is Gini for classification, variance for regression.
-func (t *Tree) impurity(y []float64, idx []int) float64 {
-	if t.classes > 0 {
-		counts := make([]float64, t.classes)
+// impurity is Gini for classification, variance for regression. For
+// classification it leaves the node's class counts in g.totals.
+func (g *grower) impurity(idx []int) float64 {
+	if g.t.classes > 0 {
+		counts := g.totals
+		clear(counts)
 		for _, r := range idx {
-			c := int(y[r])
-			if c >= 0 && c < t.classes {
+			if c := g.yc[r]; c >= 0 {
 				counts[c]++
 			}
 		}
 		n := float64(len(idx))
-		g := 1.0
+		gini := 1.0
 		for _, c := range counts {
 			p := c / n
-			g -= p * p
+			gini -= p * p
 		}
-		return g
+		return gini
 	}
 	var sum, sq float64
 	for _, r := range idx {
-		sum += y[r]
-		sq += y[r] * y[r]
+		sum += g.y[r]
+		sq += g.y[r] * g.y[r]
 	}
 	n := float64(len(idx))
 	mean := sum / n
