@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race verify bench lint-encapsulation lint-obs lint-transform lint-dag lint-shard lint-http
+.PHONY: build vet test race verify bench lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,16 @@ test:
 # ensemble fit/inference paths.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/core/... ./internal/profile/... ./internal/data/... ./internal/ml/... ./internal/obs/... ./internal/pipescript/...
+
+# Every tracked Go file is gofmt-clean. Fail on any file gofmt would
+# rewrite.
+lint-fmt:
+	@matches=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-fmt: files not gofmt-formatted (run gofmt -w):"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
 
 # Column storage is encapsulated behind accessors (Num/Str/IsMissing/
 # SetNum/...): only internal/data may touch the backing slices, and the
@@ -75,22 +85,14 @@ lint-dag:
 		exit 1; \
 	fi
 
-# Elementwise op bodies parallelize only through the row sharder
-# (pipescript/sharder.go): its disjoint-write contract and shared worker
-# budget are what keep results bit-identical and the pool bounded. Fail
-# on raw pool fan-outs or goroutines in op-body/serving sources, and on
-# raw slab views (NumsView/StrsView) in op bodies — a raw slab loop
-# would bypass the ShardView write path.
-lint-shard:
+# Op bodies and the serving path are plain serial row loops: the only
+# fan-out in internal/pipescript is the statement DAG's wave scheduler
+# (schedule.go), bounded by Workers. Fail on raw pool fan-outs or
+# goroutines in the op-body, executor and serving sources.
+lint-fanout:
 	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/exec.go internal/pipescript/transform.go); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-shard: raw parallelism in op bodies (route row loops through the sharder):"; \
-		echo "$$matches"; \
-		exit 1; \
-	fi
-	@matches=$$(grep -nE '\.(NumsView|StrsView)\(' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/transform.go); \
-	if [ -n "$$matches" ]; then \
-		echo "lint-shard: raw slab access in elementwise op bodies (use column accessors through shard views):"; \
+		echo "lint-fanout: raw parallelism in op bodies (only the DAG scheduler fans out):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -109,7 +111,7 @@ lint-http:
 		exit 1; \
 	fi
 
-verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard lint-http test race
+verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http test race
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
@@ -119,7 +121,9 @@ verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard
 # beside them, and marks a speedup "(noise)" when the ranges overlap.
 #
 # Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
-# (lanes: data, ingest, dag, shard — see internal/bench/baseline).
+# (lanes: data, ingest, dag — see internal/bench/baseline). The shard
+# lane is a single pass: its baseline block is the last capture with row
+# sharding, which benchjson preserves.
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
@@ -131,5 +135,4 @@ bench:
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
 	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
-	BENCH_BASELINE=shard $(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_shard.json
 	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json

@@ -257,15 +257,15 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 // ExecOptions tunes how ExecutePipelineWith and FitPipelineWith run a
 // pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
 type ExecOptions struct {
-	// Workers is the one execution knob: it bounds the goroutines the
-	// statement DAG, row sharding, and the tree/KNN models share
-	// (0 = all cores, 1 = serial). Results and fitted artifacts are
-	// bit-identical at any value; only wall time changes.
+	// Workers is the one execution knob: it bounds the goroutines of
+	// each statement-DAG wave and of the tree/KNN model fits and
+	// inference (0 = all cores, 1 = serial). Results and fitted
+	// artifacts are bit-identical at any value; only wall time changes.
 	Workers int
 	// Metrics, when set, records execution counters and latency
-	// histograms (catdb_pipescript_*, catdb_dag_*, catdb_shard_*) into
-	// the registry — the same registry an ops server serves at /metrics.
-	// Nil disables recording with zero overhead.
+	// histograms (catdb_pipescript_*, catdb_dag_*) into the registry —
+	// the same registry an ops server serves at /metrics. Nil disables
+	// recording with zero overhead.
 	Metrics *Metrics
 	// TraceSpan, when set, parents the execution's span tree (exec →
 	// dag-segment → dag-wave → dag-node) under an existing span, so live

@@ -328,7 +328,7 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	refine := fs.Bool("refine", false, "apply catalog refinement before running (use when the pipeline was generated without -no-refine)")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
-	workers := fs.Int("workers", 0, "execution goroutines shared by the statement DAG, row sharding, and model fitting (0 = all cores, 1 = serial; results are bit-identical at any value)")
+	workers := fs.Int("workers", 0, "goroutines for statement-DAG waves and model fitting (0 = all cores, 1 = serial; results are bit-identical at any value)")
 	dagPlan := fs.Bool("dag-plan", false, "print the DAG execution plan (waves, barriers, dependencies) before running")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -410,7 +410,7 @@ func cmdFit(args []string) error {
 	refine := fs.Bool("refine", false, "apply catalog refinement before fitting")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
 	out := fs.String("out", "model.catdb.json", "fitted-pipeline artifact output path")
-	workers := fs.Int("workers", 0, "execution goroutines shared by the statement DAG, row sharding, and model fitting (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
+	workers := fs.Int("workers", 0, "goroutines for statement-DAG waves and model fitting (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while fitting (/metrics, /api/spans, /debug/pprof; the artifact is byte-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -458,7 +458,7 @@ func cmdPredict(args []string) error {
 	artifact := fs.String("artifact", "", "fitted-pipeline artifact path (required)")
 	csvPath := fs.String("csv", "", "CSV rows to score; '-' reads stdin (required)")
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
-	workers := fs.Int("workers", 0, "row-shard and inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
+	workers := fs.Int("workers", 0, "inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
 	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
 	chunkBytes := fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")

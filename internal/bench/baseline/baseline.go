@@ -6,8 +6,7 @@
 //	BENCH_BASELINE=<lane>
 //
 // where <lane> names the subsystem: "data" (deep-copy gather), "ingest"
-// (serial single-chunk parse), "dag" (linear statement execution), or
-// "shard" (serial elementwise row loops).
+// (serial single-chunk parse), or "dag" (linear statement execution).
 //
 // The package is a leaf (it imports only os) so bench files anywhere —
 // including internal/data, which internal/bench itself imports — can

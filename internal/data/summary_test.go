@@ -24,7 +24,15 @@ func assertSummaryFresh(t *testing.T, c *Column, ctx string) {
 	t.Helper()
 	fresh := c.Clone()
 	if got, want := c.MissingCount(), fresh.MissingCount(); got != want {
-		t.Errorf("%s: MissingCount = %d, fresh recompute = %d (stale summary)", ctx, got, want)
+		t.Errorf("%s: MissingCount = %d, fresh recompute = %d", ctx, got, want)
+	}
+	// MissingCount counts the mask directly, so the memoized Summary's
+	// own gap count needs its own staleness check.
+	if got, want := c.Summary().Missing, fresh.Summary().Missing; got != want {
+		t.Errorf("%s: Summary().Missing = %d, fresh recompute = %d (stale summary)", ctx, got, want)
+	}
+	if got, want := c.MissingCount(), c.Summary().Missing; got != want {
+		t.Errorf("%s: MissingCount = %d, Summary().Missing = %d", ctx, got, want)
 	}
 	if got, want := c.DistinctCount(), fresh.DistinctCount(); got != want {
 		t.Errorf("%s: DistinctCount = %d, fresh recompute = %d (stale summary)", ctx, got, want)

@@ -9,10 +9,10 @@ import (
 // Regression is one flagged metric: the latest run of a configuration
 // exceeded its baseline beyond the caller's threshold.
 type Regression struct {
-	Key      string  // ConfigHash|Dataset|Model group identity
+	Key      string // ConfigHash|Dataset|Model group identity
 	Dataset  string
 	Model    string
-	Metric   string  // "stage_seconds/exec", "tokens/total", ...
+	Metric   string // "stage_seconds/exec", "tokens/total", ...
 	Baseline float64
 	Latest   float64
 	Ratio    float64 // Latest / Baseline

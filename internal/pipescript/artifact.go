@@ -75,17 +75,13 @@ type FittedPipeline struct {
 	Model     *ml.FittedModel `json:"model"`
 
 	// Runtime settings — never serialized. Workers bounds the goroutines
-	// transform-time row shards and inference use (0 = GOMAXPROCS,
-	// 1 = serial; predictions are identical at any setting). Metrics,
-	// when set, records per-stage transform latencies and prediction
-	// counters; nil disables with zero overhead.
+	// inference uses (0 = GOMAXPROCS, 1 = serial; predictions are
+	// identical at any setting). Metrics, when set, records per-stage
+	// transform latencies and prediction counters; nil disables with
+	// zero overhead.
 	Workers int           `json:"-"`
 	Metrics *obs.Registry `json:"-"`
 
-	// shardRows overrides the row-shard chunk size (0 = default,
-	// negative = serial row loops); only tests and the serial benchmark
-	// pass set it.
-	shardRows int
 	// model caches the reconstructed live model across Predict calls.
 	model any
 }
@@ -187,5 +183,5 @@ func (e *Executor) recordAndApply(step FittedStep, te *data.Table) error {
 	if e.record != nil && !step.touchesTarget(e.Target) {
 		e.record.Steps = append(e.record.Steps, step)
 	}
-	return step.apply(e.sh, te)
+	return step.apply(te)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,6 +252,63 @@ evaluate metric=auto
 	})
 }
 
+// Serving is bit-identical at any worker count: Transform and Predict
+// over the same batch must not depend on Workers.
+func TestServingWorkersIdentical(t *testing.T) {
+	src := `pipeline "serve"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+scale "num" method=standard
+train model=random_forest target="y" trees=10
+`
+	tr, te := split(messyTable(500, 8), 3)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 4}
+	_, fp, err := ex.Fit(mustParse(t, src), tr, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := messyTable(400, 9)
+	batch.DropColumn("y")
+
+	fp.Workers = 1
+	wantT, err := fp.Transform(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP, err := fp.Predict(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 8} {
+		fp.Workers = w
+		gotT, err := fp.Transform(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: transformed columns %v, want %v", w, got, want)
+		}
+		for _, name := range wantT.ColumnNames() {
+			wc, gc := wantT.Col(name), gotT.Col(name)
+			for i := 0; i < wc.Len(); i++ {
+				if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
+					t.Fatalf("workers=%d: column %q row %d differs (%q vs %q)",
+						w, name, i, wc.ValueString(i), gc.ValueString(i))
+				}
+			}
+		}
+		gotP, err := fp.Predict(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantP, gotP) {
+			t.Fatalf("workers=%d: predictions differ", w)
+		}
+	}
+}
+
 func TestArtifactNeverRecordsLabelSteps(t *testing.T) {
 	src := `pipeline "labels"
 impute "num" strategy=median
@@ -320,10 +378,21 @@ evaluate metric=auto
 		wantCode(t, err, ErrFeatureAbsent)
 	})
 	t.Run("nan_feature", func(t *testing.T) {
-		batch := te.Clone()
-		batch.Col("num").SetMissing(0)
-		_, err := fp.Predict(batch)
+		src := te.Clone()
+		for i := 0; i < 5; i++ {
+			src.Col("num").SetMissing(i)
+		}
+		// A row-mapped view that keeps gaps 0, 2 and 4 but not 1 and 3:
+		// the count must go through the view mapping, not the whole mask.
+		rows := []int{0, 2, 4}
+		for i := 5; i < src.NumRows(); i++ {
+			rows = append(rows, i)
+		}
+		_, err := fp.Predict(src.SelectRows(rows))
 		wantCode(t, err, ErrFeatureNaN)
+		if !strings.Contains(err.Error(), `fitted feature "num" has 3 missing values`) {
+			t.Fatalf("err = %v, want it to count 3 missing values", err)
+		}
 	})
 	t.Run("version_mismatch", func(t *testing.T) {
 		bad := *fp

@@ -16,8 +16,8 @@ import (
 // impute/winsorize/log_transform/scale chains on the numeric columns and
 // dedup_values/onehot chains on the categorical ones — 18 independent
 // branches with no cross-column dependencies, the best case for wave
-// scheduling. Row sharding runs at its default in both passes, so the
-// gap is the statement DAG alone.
+// scheduling. Both passes run the same serial row loops, so the gap is
+// the statement DAG alone.
 //
 // `make bench` runs this twice: BENCH_BASELINE=dag captures the linear
 // reference into BENCH_dag.json, then the default pass records the

@@ -89,7 +89,8 @@ func reachesMultiStmtSegment(p *Program, err error) bool {
 
 func TestDAGMatchesLinearWidePipeline(t *testing.T) {
 	tr, te := split(messyTable(600, 1), 7)
-	res, err := execBothWays(t, `pipeline "wide"
+	for _, task := range []data.Task{data.Binary, data.Multiclass} {
+		res, err := execBothWays(t, `pipeline "wide"
 impute "num" strategy=median
 dedup_values "cat"
 onehot "cat"
@@ -99,12 +100,13 @@ log_transform "num"
 scale "num" method=standard
 train model=random_forest target="y" trees=15
 evaluate metric=auto
-`, tr, te, "y", data.Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TestAUC <= 0 {
-		t.Fatalf("expected a trained model, got %+v", res)
+`, tr, te, "y", task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TestAUC <= 0 {
+			t.Fatalf("%v: expected a trained model, got %+v", task, res)
+		}
 	}
 }
 
@@ -116,6 +118,8 @@ hash_encode "cat" buckets=16
 impute "num" strategy=mean
 impute_all strategy=auto
 bin_numeric "num" bins=4
+clip_outliers "num" method=iqr factor=2.0
+remove_outliers "num" method=iqr factor=4.0
 drop_constant
 train model=gbm target="y" rounds=8
 `, tr, te, "y", data.Multiclass)
@@ -126,23 +130,55 @@ func TestDAGMatchesLinearRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := make([]float64, n)
 	b := make([]float64, n)
+	addr := make([]string, n)
 	y := make([]float64, n)
 	for i := range a {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.Float64() * 10
+		addr[i] = fmt.Sprintf("%d zone%d", 100+i%90, i%4)
 		y[i] = 3*a[i] - b[i] + rng.NormFloat64()*0.1
 	}
 	tab := data.NewTable("reg")
 	tab.MustAddColumn(data.NewNumeric("a", a))
 	tab.MustAddColumn(data.NewNumeric("b", b))
+	tab.MustAddColumn(data.NewString("addr", addr))
 	tab.MustAddColumn(data.NewNumeric("y", y))
 	tr, te := split(tab, 11)
 	execBothWays(t, `pipeline "reg"
+split_composite "addr"
+ordinal "addr_part"
+target_encode "addr_num"
 interaction "a" "b" op=product
 log_transform "b"
 scale "a" method=minmax
 train model=linear_regression target="y"
 `, tr, te, "y", data.Regression)
+}
+
+// Copy-on-write view inputs: SelectRows hands out row-mapped views that
+// share slabs with the source. Every write must promote privately, so
+// the source table is untouched and results match the linear reference.
+func TestDAGMatchesLinearOnCoWViews(t *testing.T) {
+	source := messyTable(700, 6)
+	rows := make([]int, 0, 500)
+	for i := 0; i < 500; i++ {
+		rows = append(rows, (i*7)%700)
+	}
+	tr, te := split(source.SelectRows(rows), 13)
+	execBothWays(t, `pipeline "cow"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+scale "num" method=standard
+train model=naive_bayes target="y"
+`, tr, te, "y", data.Multiclass)
+	// The shared source must not have absorbed any pipeline writes.
+	if source.Col("num").MissingCount() == 0 {
+		t.Fatal("source table mutated: injected missing cells disappeared")
+	}
+	if source.Col("cat").DistinctCount() <= 3 {
+		t.Fatal("source table mutated: dirty categories were deduplicated in place")
+	}
 }
 
 // Errors must surface identically: unknown columns force the segment

@@ -57,16 +57,16 @@ type Executor struct {
 	// Policy, when set, enforces organizational library constraints
 	// (disallowed models/packages raise E_POLICY).
 	Policy *Policy
-	// Workers is the one execution knob: it bounds the goroutines shared
-	// by the statement DAG's waves, row-shard fan-outs, and the tree/KNN
-	// models (0 = GOMAXPROCS, 1 = serial). Independent statements run
-	// concurrently (schedule.go) and long elementwise loops split into
-	// row shards (sharder.go); results, fitted artifacts, errors, and
-	// metric counters are bit-identical at any setting.
+	// Workers is the one execution knob: it bounds the goroutines of
+	// each statement-DAG wave and of the tree/KNN model fits and
+	// inference (0 = GOMAXPROCS, 1 = serial). Independent statements run
+	// concurrently (schedule.go); every op body is one serial row loop.
+	// Results, fitted artifacts, errors, and metric counters are
+	// bit-identical at any setting.
 	Workers int
 	// Metrics, when set, records execution counts, latencies, and error
-	// codes (catdb_pipescript_*, catdb_dag_*, catdb_shard_*) into the
-	// observability registry. Nil disables recording with zero overhead.
+	// codes (catdb_pipescript_*, catdb_dag_*) into the observability
+	// registry. Nil disables recording with zero overhead.
 	Metrics *obs.Registry
 	// Span, when set, parents the DAG scheduler's span tree: one
 	// dag-segment span per parallel segment, dag-wave per Kahn wave,
@@ -84,20 +84,11 @@ type Executor struct {
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
 
-	// The serial references the equivalence tests and the two-pass
-	// benchmarks compare against; only tests set them. linear runs every
-	// statement on its own, in program order, instead of scheduling
-	// segments; shardRows overrides the row-shard chunk size
-	// (0 = defaultShardRows, negative = serial row loops).
-	linear    bool
-	shardRows int
-
-	// Per-execution row-shard state, set by execute: the shared worker
-	// budget (also consumed by the DAG wave scheduler, so waves × shards
-	// never oversubscribe Workers) and the sharder elementwise op loops
-	// fan out through (nil when shardRows < 0).
-	budget *workerBudget
-	sh     *sharder
+	// linear is the serial reference the equivalence tests and the DAG
+	// benchmark's baseline pass compare against; only tests set it. It
+	// runs every statement on its own, in program order, instead of
+	// scheduling segments.
+	linear bool
 }
 
 // Execute validates and runs the program on copies of train/test. The
@@ -130,9 +121,6 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 	if maxOH <= 0 {
 		maxOH = 64
 	}
-	e.budget = newWorkerBudget(e.Workers)
-	e.sh = newSharder(e.shardRows, e.budget, e.Metrics)
-	defer func() { e.budget, e.sh = nil, nil }()
 	res := &Result{Program: p}
 
 	trained := false
@@ -167,18 +155,7 @@ func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result,
 		// Parse guarantees registered ops; this is unreachable by construction.
 		return rtErr(st.Line, ErrBadOption, "unhandled statement %q", st.Op)
 	}
-	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained, sh: e.shardFor(spec)})
-}
-
-// shardFor gates the row-shard executor by op class: only elementwise
-// and whole-table ops carry row loops whose writes are provably
-// disjoint per row. Pure and stateful-fit ops run without a sharder
-// (train's matrix builds shard through e.sh explicitly).
-func (e *Executor) shardFor(spec *opSpec) *sharder {
-	if spec.class == opElementwise || spec.class == opWholeTable {
-		return e.sh
-	}
-	return nil
+	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained})
 }
 
 // requireCol resolves a column reference in a core statement.
@@ -208,7 +185,7 @@ func (e *Executor) execImpute(st Stmt, c *execCtx) error {
 	if ierr != nil {
 		return rtErr(st.Line, ErrTypeMismatch, "%v", ierr)
 	}
-	applyImpute(c.sh, col, num, str)
+	applyImpute(col, num, str)
 	return c.apply(FittedStep{Op: "impute", Col: col.Name, Num: num, Str: str}, st.Line, ErrBadOption)
 }
 
@@ -230,7 +207,7 @@ func (e *Executor) execImputeAll(st Stmt, c *execCtx) error {
 		if ierr != nil {
 			return rtErr(st.Line, ErrTypeMismatch, "%v", ierr)
 		}
-		applyImpute(c.sh, col, num, str)
+		applyImpute(col, num, str)
 		if err := c.apply(FittedStep{Op: "impute", Col: col.Name, Num: num, Str: str}, st.Line, ErrBadOption); err != nil {
 			return err
 		}
@@ -272,7 +249,7 @@ func (e *Executor) execClipOutliers(st Stmt, c *execCtx) error {
 	}
 	for _, col := range cols {
 		lo, hi := iqrBounds(col, factor)
-		clipColumn(c.sh, col, lo, hi)
+		clipColumn(col, lo, hi)
 		if col.Name != e.Target {
 			if err := c.apply(FittedStep{Op: "clip", Col: col.Name, Lo: lo, Hi: hi}, st.Line, ErrBadOption); err != nil {
 				return err
@@ -296,15 +273,11 @@ func (e *Executor) execRemoveOutliers(st Stmt, c *execCtx) error {
 	}
 	for _, col := range cols {
 		lo, hi := iqrBounds(col, factor)
-		// The keep-mask scan is elementwise (row i writes only keep[i]),
-		// so it shards like an apply loop.
-		c.sh.ranges("remove_outliers", col.Len(), func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				if !col.IsMissing(i) && (col.Num(i) < lo || col.Num(i) > hi) {
-					keep[i] = false
-				}
+		for i := 0; i < col.Len(); i++ {
+			if !col.IsMissing(i) && (col.Num(i) < lo || col.Num(i) > hi) {
+				keep[i] = false
 			}
-		})
+		}
 		// Evaluation rows are clipped (never dropped) so the test set
 		// size is preserved — except the target, which is ground truth.
 		if col.Name != e.Target {
@@ -350,7 +323,7 @@ func (e *Executor) execScale(st Stmt, c *execCtx) error {
 		if serr != nil {
 			return rtErr(st.Line, ErrBadOption, "%v", serr)
 		}
-		sp.apply(c.sh, col)
+		sp.apply(col)
 		// Like the outlier ops, the target is exempt on the test side:
 		// scaling held-out ground truth would corrupt RMSE (the train
 		// target may be scaled — the model just learns that scale).
@@ -381,7 +354,7 @@ func (e *Executor) execOnehot(st Stmt, c *execCtx) error {
 	if err := c.capOK(st.Line, "one-hot", col.Name, len(cats)); err != nil {
 		return err
 	}
-	if err := oneHot(c.sh, c.tr, col.Name, cats); err != nil {
+	if err := oneHot(c.tr, col.Name, cats); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "onehot", Col: col.Name, Cats: cats}, st.Line, ErrUnknownColumn)
@@ -399,7 +372,7 @@ func (e *Executor) execKhot(st Stmt, c *execCtx) error {
 	if err := c.capOK(st.Line, "k-hot", col.Name, len(items)); err != nil {
 		return err
 	}
-	if err := kHot(c.sh, c.tr, col.Name, items); err != nil {
+	if err := KHot(c.tr, col.Name, items); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "khot", Col: col.Name, Cats: items}, st.Line, ErrUnknownColumn)
@@ -414,7 +387,7 @@ func (e *Executor) execHashEncode(st Stmt, c *execCtx) error {
 	if perr != nil || buckets <= 0 {
 		return rtErr(st.Line, ErrBadOption, "bad buckets %q", st.Opt("buckets", ""))
 	}
-	if err := hashEncode(c.sh, c.tr, col.Name, buckets); err != nil {
+	if err := hashEncode(c.tr, col.Name, buckets); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "hash_encode", Col: col.Name, Buckets: buckets}, st.Line, ErrUnknownColumn)
@@ -429,7 +402,7 @@ func (e *Executor) execOrdinal(st Stmt, c *execCtx) error {
 	for i, cat := range topCategories(col, 1<<20) {
 		mapping[cat] = i
 	}
-	if err := ordinalEncode(c.sh, c.tr, col.Name, mapping); err != nil {
+	if err := ordinalEncode(c.tr, col.Name, mapping); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "ordinal", Col: col.Name, Mapping: mapping}, st.Line, ErrUnknownColumn)
@@ -483,7 +456,7 @@ func (e *Executor) execSplitComposite(st Stmt, c *execCtx) error {
 		return err
 	}
 	names := splitNames(st, col.Name)
-	if err := splitComposite(c.sh, c.tr, col.Name, names[0], names[1]); err != nil {
+	if err := SplitComposite(c.tr, col.Name, names[0], names[1]); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "split_composite", Col: col.Name,
@@ -498,7 +471,7 @@ func (e *Executor) execExtractToken(st Stmt, c *execCtx) error {
 	if col.Kind != data.KindString {
 		return rtErr(st.Line, ErrTypeMismatch, "extract_token needs a string column, %q is %s", col.Name, col.Kind)
 	}
-	extractToken(c.sh, col)
+	ExtractTokens(col)
 	return c.apply(FittedStep{Op: "extract_token", Col: col.Name}, st.Line, "")
 }
 
@@ -515,7 +488,7 @@ func (e *Executor) execDedupValues(st Stmt, c *execCtx) error {
 	for raw, canon := range mapping {
 		byNormal[NormalizeValue(raw)] = canon
 	}
-	applyMapping(c.sh, col, mapping, byNormal)
+	applyMapping(col, mapping, byNormal)
 	return c.apply(FittedStep{Op: "dedup_values", Col: col.Name, ValueMap: mapping}, st.Line, "")
 }
 
@@ -662,19 +635,19 @@ func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
 		if !c.Kind.IsNumeric() {
 			return rtErr(st.Line, ErrStringInMatrix, "could not convert string column %q to float (did the pipeline forget to encode it?)", c.Name)
 		}
-		if c.MissingCount() > 0 {
-			return rtErr(st.Line, ErrNaNInMatrix, "input contains NaN: column %q has %d missing values", c.Name, c.MissingCount())
+		if n := c.MissingCount(); n > 0 {
+			return rtErr(st.Line, ErrNaNInMatrix, "input contains NaN: column %q has %d missing values", c.Name, n)
 		}
 	}
 	// The target must be complete too: a missing regression target would
 	// read as a silent 0 through NumsView, and a missing classification
 	// label would stringify to "" and become a phantom class.
-	if tcol.MissingCount() > 0 {
+	if n := tcol.MissingCount(); n > 0 {
 		return rtErr(st.Line, ErrNaNInMatrix,
-			"input contains NaN: target column %q has %d missing values", target, tcol.MissingCount())
+			"input contains NaN: target column %q has %d missing values", target, n)
 	}
-	Xtr, featNames := matrix(e.sh, tr, target)
-	Xte, _ := matrixAligned(e.sh, te, featNames)
+	Xtr, featNames := matrix(tr, target)
+	Xte, _ := matrixAligned(te, featNames)
 	if len(Xtr) == 0 || len(featNames) == 0 {
 		return rtErr(st.Line, ErrEmptyData, "no usable feature columns at train time")
 	}
@@ -826,7 +799,7 @@ func argmax(v []float64) int {
 }
 
 // matrix extracts the numeric feature matrix and column order.
-func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
+func matrix(t *data.Table, target string) ([][]float64, []string) {
 	var names []string
 	var cols []*data.Column
 	for _, c := range t.Cols {
@@ -837,15 +810,13 @@ func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
 		cols = append(cols, c)
 	}
 	X := make([][]float64, t.NumRows())
-	sh.ranges("matrix", len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := make([]float64, len(cols))
-			for j, c := range cols {
-				row[j] = c.Num(i)
-			}
-			X[i] = row
+	for i := range X {
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			row[j] = c.Num(i)
 		}
-	})
+		X[i] = row
+	}
 	return X, names
 }
 
@@ -859,23 +830,21 @@ func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
 // the strict version: it rejects absent/non-numeric/incomplete fitted
 // features with a typed ArtifactError before this zero-fill can skew
 // predictions.
-func matrixAligned(sh *sharder, t *data.Table, names []string) ([][]float64, []string) {
+func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 	cols := make([]*data.Column, len(names))
 	for j, n := range names {
 		cols[j] = t.Col(n)
 	}
 	X := make([][]float64, t.NumRows())
-	sh.ranges("matrix", len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := make([]float64, len(names))
-			for j, c := range cols {
-				if c != nil && c.Kind.IsNumeric() && i < c.Len() {
-					row[j] = c.Num(i)
-				}
+	for i := range X {
+		row := make([]float64, len(names))
+		for j, c := range cols {
+			if c != nil && c.Kind.IsNumeric() && i < c.Len() {
+				row[j] = c.Num(i)
 			}
-			X[i] = row
 		}
-	})
+		X[i] = row
+	}
 	return X, names
 }
 

@@ -97,7 +97,15 @@ train model=random_forest target="y"
 }
 
 func TestExecuteNaNInMatrix(t *testing.T) {
-	tr, te := split(messyTable(300, 3), 7)
+	tab := messyTable(300, 3) // "num" is missing at every 17th row
+	// A row-mapped view holding the gap rows 0, 17 and 34, then the
+	// present rows 35..49: the count must go through the view mapping
+	// (a count over the first 18 mask cells would read 2).
+	rows := []int{0, 17, 34}
+	for i := 35; i < 50; i++ {
+		rows = append(rows, i)
+	}
+	tr, te := tab.SelectRows(rows), tab.Head(20)
 	p := mustParse(t, `pipeline "bad"
 onehot "cat"
 khot "lst"
@@ -108,6 +116,9 @@ train model=random_forest target="y"
 	var re *RuntimeError
 	if !errors.As(err, &re) || re.Code != ErrNaNInMatrix {
 		t.Fatalf("want E_NAN_IN_MATRIX, got %v", err)
+	}
+	if !strings.Contains(err.Error(), `column "num" has 3 missing values`) {
+		t.Fatalf("err = %v, want it to count 3 missing values", err)
 	}
 }
 
@@ -279,7 +290,7 @@ func TestSplitCompositeOp(t *testing.T) {
 	}
 	// Verify via the low-level op too.
 	tb2 := tb.Clone()
-	if err := splitComposite(nil, tb2, "addr", "state", "zip"); err != nil {
+	if err := SplitComposite(tb2, "addr", "state", "zip"); err != nil {
 		t.Fatal(err)
 	}
 	if tb2.Col("state").Str(0) != "CA" || tb2.Col("zip").Str(0) != "7050" {
@@ -292,7 +303,7 @@ func TestSplitCompositeOp(t *testing.T) {
 
 func TestExtractTokenOp(t *testing.T) {
 	c := data.NewString("s", []string{"about alpha", "roughly bravo or so", "congo (confirmed)"})
-	extractToken(nil, c)
+	ExtractTokens(c)
 	want := []string{"alpha", "bravo", "congo"}
 	for i, w := range want {
 		if c.Str(i) != w {

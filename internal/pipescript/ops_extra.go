@@ -41,7 +41,7 @@ func (e *Executor) execBinNumeric(st Stmt, ctx *execCtx) error {
 	for i := range edges {
 		edges[i] = c.Quantile(float64(i+1) / float64(bins))
 	}
-	binifyColumn(ctx.sh, c, edges)
+	binifyColumn(c, edges)
 	return ctx.apply(FittedStep{Op: "bin_numeric", Col: c.Name, Edges: edges}, st.Line, ErrBadOption)
 }
 
@@ -53,7 +53,7 @@ func (e *Executor) execLogTransform(st Stmt, ctx *execCtx) error {
 	if !c.Kind.IsNumeric() {
 		return rtErr(st.Line, ErrTypeMismatch, "log_transform needs a numeric column, %q is %s", c.Name, c.Kind)
 	}
-	logTransformColumn(ctx.sh, c)
+	logTransformColumn(c)
 	return ctx.apply(FittedStep{Op: "log_transform", Col: c.Name}, st.Line, ErrBadOption)
 }
 
@@ -71,7 +71,7 @@ func (e *Executor) execInteraction(st Stmt, ctx *execCtx) error {
 	}
 	op := st.Opt("op", "product")
 	name := fmt.Sprintf("%s_%s_%s", a.Name, op, b.Name)
-	if err := buildInteraction(ctx.sh, ctx.tr, a.Name, b.Name, op, name); err != nil {
+	if err := buildInteraction(ctx.tr, a.Name, b.Name, op, name); err != nil {
 		return rtErr(st.Line, ErrBadOption, "%v", err)
 	}
 	return ctx.apply(FittedStep{Op: "interaction", Col: a.Name, ColB: b.Name,
@@ -117,7 +117,7 @@ func (e *Executor) execWinsorize(st Stmt, ctx *execCtx) error {
 		return rtErr(st.Line, ErrBadOption, "bad winsorize bounds")
 	}
 	lo, hi := c.Quantile(lowQ), c.Quantile(hiQ)
-	clipColumn(ctx.sh, c, lo, hi)
+	clipColumn(c, lo, hi)
 	if c.Name != e.Target {
 		return ctx.apply(FittedStep{Op: "clip", Col: c.Name, Lo: lo, Hi: hi}, st.Line, ErrBadOption)
 	}
@@ -159,7 +159,7 @@ func (e *Executor) execTargetEncode(st Stmt, ctx *execCtx) error {
 		return rtErr(st.Line, ErrEmptyData, "no data to fit target encoding")
 	}
 	global /= n
-	if err := smoothedMeanEncode(ctx.sh, tr, c.Name, sums, counts, global); err != nil {
+	if err := smoothedMeanEncode(tr, c.Name, sums, counts, global); err != nil {
 		return rtErr(st.Line, ErrBadOption, "%v", err)
 	}
 	return ctx.apply(FittedStep{Op: "target_encode", Col: c.Name,
@@ -168,72 +168,65 @@ func (e *Executor) execTargetEncode(st Stmt, ctx *execCtx) error {
 
 // binifyColumn maps numeric values to their bin ordinal over fitted
 // quantile edges.
-func binifyColumn(sh *sharder, col *data.Column, edges []float64) {
-	sh.transform("bin_numeric", col, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			b := 0
-			for _, edge := range edges {
-				if v.Num(i) > edge {
-					b++
-				}
-			}
-			v.SetNum(i, float64(b))
+func binifyColumn(col *data.Column, edges []float64) {
+	for i := 0; i < col.Len(); i++ {
+		if col.IsMissing(i) {
+			continue
 		}
-	})
-	// Kind changes land on the real column after the shard join.
+		b := 0
+		for _, edge := range edges {
+			if col.Num(i) > edge {
+				b++
+			}
+		}
+		col.SetNum(i, float64(b))
+	}
 	col.Kind = data.KindInt
 }
 
 // logTransformColumn applies the signed log1p transform in place:
 // sign(x)·log(1+|x|) keeps negatives meaningful.
-func logTransformColumn(sh *sharder, col *data.Column) {
-	sh.transform("log_transform", col, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			x := v.Num(i)
-			s := 1.0
-			if x < 0 {
-				s, x = -1, -x
-			}
-			v.SetNum(i, s*math.Log1p(x))
+func logTransformColumn(col *data.Column) {
+	for i := 0; i < col.Len(); i++ {
+		if col.IsMissing(i) {
+			continue
 		}
-	})
+		x := col.Num(i)
+		s := 1.0
+		if x < 0 {
+			s, x = -1, -x
+		}
+		col.SetNum(i, s*math.Log1p(x))
+	}
 	col.Kind = data.KindFloat
 }
 
 // buildInteraction adds a product/ratio column of two numeric sources; a
 // table lacking either source is left unchanged (the interaction column
 // only exists where both sources do).
-func buildInteraction(sh *sharder, t *data.Table, aName, bName, op, name string) error {
+func buildInteraction(t *data.Table, aName, bName, op, name string) error {
 	ca, cb := t.Col(aName), t.Col(bName)
 	if ca == nil || cb == nil {
 		return nil
 	}
 	vals := make([]float64, ca.Len())
 	nc := data.NewNumeric(name, vals)
-	sh.ranges("interaction", len(vals), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ca.IsMissing(i) || cb.IsMissing(i) {
-				nc.SetMissing(i)
-				continue
-			}
-			switch op {
-			case "ratio":
-				den := cb.Num(i)
-				if den == 0 {
-					den = 1
-				}
-				vals[i] = ca.Num(i) / den
-			default:
-				vals[i] = ca.Num(i) * cb.Num(i)
-			}
+	for i := range vals {
+		if ca.IsMissing(i) || cb.IsMissing(i) {
+			nc.SetMissing(i)
+			continue
 		}
-	})
+		switch op {
+		case "ratio":
+			den := cb.Num(i)
+			if den == 0 {
+				den = 1
+			}
+			vals[i] = ca.Num(i) / den
+		default:
+			vals[i] = ca.Num(i) * cb.Num(i)
+		}
+	}
 	return t.AddColumn(nc)
 }
 
@@ -244,23 +237,21 @@ const tencSmoothing = 10
 // mean encoding. The sums/counts maps (not precomputed encodings) feed
 // the identical arithmetic at fit and serve time, so unseen and seen
 // categories alike encode bit-identically on both paths.
-func smoothedMeanEncode(sh *sharder, t *data.Table, col string, sums, counts map[string]float64, global float64) error {
+func smoothedMeanEncode(t *data.Table, col string, sums, counts map[string]float64, global float64) error {
 	c := t.Col(col)
 	if c == nil {
 		return nil
 	}
 	vals := make([]float64, c.Len())
 	nc := data.NewNumeric(col+"__tenc", vals)
-	sh.ranges("target_encode", len(vals), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				vals[i] = global
-				continue
-			}
-			v := c.Str(i)
-			vals[i] = (sums[v] + tencSmoothing*global) / (counts[v] + tencSmoothing)
+	for i := range vals {
+		if c.IsMissing(i) {
+			vals[i] = global
+			continue
 		}
-	})
+		v := c.Str(i)
+		vals[i] = (sums[v] + tencSmoothing*global) / (counts[v] + tencSmoothing)
+	}
 	t.DropColumn(col)
 	return t.AddColumn(nc)
 }

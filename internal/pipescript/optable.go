@@ -39,35 +39,10 @@ func (r colRefs) names() []string {
 	return out
 }
 
-// opClass is the sharding classification of an op: how its output rows
-// relate to its input rows. It decides whether the row-shard executor
-// (sharder.go) may split the op's apply loops across workers.
-type opClass int
-
-const (
-	// opPure ops touch no columns at all (pipeline/require/evaluate).
-	opPure opClass = iota
-	// opElementwise ops produce output row i from input row i alone once
-	// their parameters are fitted: the handler splits into a serial fit
-	// step (params over the full column) and a shardable exec step that
-	// writes disjoint row ranges.
-	opElementwise
-	// opStatefulFit ops carry cross-row state through their main
-	// computation (model training, feature scoring) and do not shard at
-	// the op level; their inner matrix builds may still shard.
-	opStatefulFit
-	// opWholeTable ops change the row set or column set in ways that
-	// depend on whole-table context (row drops/appends, column drops).
-	opWholeTable
-)
-
 // opSpec describes one registered statement kind.
 type opSpec struct {
 	name    string
 	minArgs int
-	// class is the sharding classification (see opClass). Validated at
-	// registration: pure ops must be opPure and vice versa.
-	class opClass
 	// pure ops touch no columns at all (pipeline/require/evaluate);
 	// they become dependency-free DAG nodes.
 	pure bool
@@ -100,9 +75,6 @@ func registerOp(spec opSpec) {
 	}
 	if !spec.pure && spec.refs == nil && spec.barrier == nil {
 		panic("pipescript: op " + spec.name + " declares neither column refs nor a barrier")
-	}
-	if spec.pure != (spec.class == opPure) {
-		panic("pipescript: op " + spec.name + " has an inconsistent pure/opPure classification")
 	}
 	if _, dup := opRegistry[spec.name]; dup {
 		panic("pipescript: op " + spec.name + " registered twice")
@@ -195,11 +167,6 @@ type execCtx struct {
 	res     *Result
 	trained *bool
 	node    *nodeBuffer // non-nil only while running as a DAG node
-	// sh is the row-shard executor for this execution (nil = serial).
-	// Elementwise apply loops route through it; its worker budget is
-	// shared with the DAG wave scheduler so waves × shards never
-	// oversubscribe Workers.
-	sh *sharder
 }
 
 // apply records a fitted step and applies it to the test table (linear
@@ -238,69 +205,69 @@ func capErr(line int, kind, col string) error {
 
 func init() {
 	// Core statements (the paper's pipeline vocabulary).
-	registerOp(opSpec{name: "pipeline", minArgs: 1, pure: true, class: opPure, exec: (*Executor).execNop})
-	registerOp(opSpec{name: "evaluate", minArgs: 0, pure: true, class: opPure, exec: (*Executor).execNop})
-	registerOp(opSpec{name: "require", minArgs: 1, pure: true, class: opPure, exec: (*Executor).execRequire})
+	registerOp(opSpec{name: "pipeline", minArgs: 1, pure: true, exec: (*Executor).execNop})
+	registerOp(opSpec{name: "evaluate", minArgs: 0, pure: true, exec: (*Executor).execNop})
+	registerOp(opSpec{name: "require", minArgs: 1, pure: true, exec: (*Executor).execRequire})
 
-	registerOp(opSpec{name: "impute", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execImpute})
-	registerOp(opSpec{name: "impute_all", minArgs: 0, class: opElementwise, barrier: alwaysBarrier, exec: (*Executor).execImputeAll})
+	registerOp(opSpec{name: "impute", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execImpute})
+	registerOp(opSpec{name: "impute_all", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execImputeAll})
 
 	// clip_outliers <col>|all: the "all" form touches every numeric
 	// column; the single-column form clips one column in place.
-	registerOp(opSpec{name: "clip_outliers", minArgs: 1, class: opElementwise,
+	registerOp(opSpec{name: "clip_outliers", minArgs: 1,
 		barrier: func(st Stmt) bool { return st.Arg(0) == "all" },
 		refs:    colOrWholeTable("all"), exec: (*Executor).execClipOutliers})
 	// remove_outliers drops train rows, so it is always a barrier; its
 	// refs exist for the analyzer's column checks only.
-	registerOp(opSpec{name: "remove_outliers", minArgs: 1, class: opWholeTable,
+	registerOp(opSpec{name: "remove_outliers", minArgs: 1,
 		barrier: alwaysBarrier, refs: colOrWholeTable("all"),
 		exec: (*Executor).execRemoveOutliers})
-	registerOp(opSpec{name: "scale", minArgs: 1, class: opElementwise,
+	registerOp(opSpec{name: "scale", minArgs: 1,
 		barrier: func(st Stmt) bool { return st.Arg(0) == "all_numeric" },
 		refs:    colOrWholeTable("all_numeric"), exec: (*Executor).execScale})
 
-	registerOp(opSpec{name: "onehot", minArgs: 1, encoder: true, class: opElementwise,
+	registerOp(opSpec{name: "onehot", minArgs: 1, encoder: true,
 		refs: prefixEncodeRefs, exec: (*Executor).execOnehot})
-	registerOp(opSpec{name: "khot", minArgs: 1, encoder: true, class: opElementwise,
+	registerOp(opSpec{name: "khot", minArgs: 1, encoder: true,
 		refs: prefixEncodeRefs, exec: (*Executor).execKhot})
-	registerOp(opSpec{name: "hash_encode", minArgs: 1, encoder: true, class: opElementwise,
+	registerOp(opSpec{name: "hash_encode", minArgs: 1, encoder: true,
 		refs: replaceRefs("__hash"), exec: (*Executor).execHashEncode})
-	registerOp(opSpec{name: "ordinal", minArgs: 1, encoder: true, class: opElementwise,
+	registerOp(opSpec{name: "ordinal", minArgs: 1, encoder: true,
 		refs: replaceRefs("__ord"), exec: (*Executor).execOrdinal})
 
-	registerOp(opSpec{name: "drop", minArgs: 1, class: opWholeTable,
+	registerOp(opSpec{name: "drop", minArgs: 1,
 		refs: func(st Stmt, _ string) colRefs {
 			return colRefs{reads: []string{st.Arg(0)}, removes: []string{st.Arg(0)}}
 		}, exec: (*Executor).execDrop})
-	registerOp(opSpec{name: "drop_constant", minArgs: 0, class: opWholeTable, barrier: alwaysBarrier, exec: (*Executor).execDropConstant})
-	registerOp(opSpec{name: "drop_sparse", minArgs: 0, class: opWholeTable, barrier: alwaysBarrier, exec: (*Executor).execDropSparse})
+	registerOp(opSpec{name: "drop_constant", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execDropConstant})
+	registerOp(opSpec{name: "drop_sparse", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execDropSparse})
 
-	registerOp(opSpec{name: "split_composite", minArgs: 1, stringAdds: true, class: opElementwise,
+	registerOp(opSpec{name: "split_composite", minArgs: 1, stringAdds: true,
 		refs: func(st Stmt, _ string) colRefs {
 			col := st.Arg(0)
 			names := splitNames(st, col)
 			return colRefs{reads: []string{col}, removes: []string{col}, adds: names[:]}
 		}, exec: (*Executor).execSplitComposite})
-	registerOp(opSpec{name: "extract_token", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execExtractToken})
-	registerOp(opSpec{name: "dedup_values", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execDedupValues})
+	registerOp(opSpec{name: "extract_token", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execExtractToken})
+	registerOp(opSpec{name: "dedup_values", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execDedupValues})
 
-	registerOp(opSpec{name: "rebalance", minArgs: 0, class: opWholeTable, barrier: alwaysBarrier, exec: (*Executor).execRebalance})
-	registerOp(opSpec{name: "augment", minArgs: 0, class: opWholeTable, barrier: alwaysBarrier, exec: (*Executor).execAugment})
-	registerOp(opSpec{name: "select_topk", minArgs: 0, class: opStatefulFit, barrier: alwaysBarrier, exec: (*Executor).execSelectTopK})
-	registerOp(opSpec{name: "train", minArgs: 0, class: opStatefulFit, barrier: alwaysBarrier, exec: (*Executor).execTrain})
+	registerOp(opSpec{name: "rebalance", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execRebalance})
+	registerOp(opSpec{name: "augment", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execAugment})
+	registerOp(opSpec{name: "select_topk", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execSelectTopK})
+	registerOp(opSpec{name: "train", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execTrain})
 
 	// Extended statements beyond the paper's core set (ops_extra.go).
-	registerOp(opSpec{name: "bin_numeric", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execBinNumeric})
-	registerOp(opSpec{name: "log_transform", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execLogTransform})
-	registerOp(opSpec{name: "interaction", minArgs: 2, class: opElementwise,
+	registerOp(opSpec{name: "bin_numeric", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execBinNumeric})
+	registerOp(opSpec{name: "log_transform", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execLogTransform})
+	registerOp(opSpec{name: "interaction", minArgs: 2,
 		refs: func(st Stmt, _ string) colRefs {
 			a, b := st.Arg(0), st.Arg(1)
 			name := fmt.Sprintf("%s_%s_%s", a, st.Opt("op", "product"), b)
 			return colRefs{reads: []string{a, b}, adds: []string{name}}
 		}, exec: (*Executor).execInteraction})
-	registerOp(opSpec{name: "drop_duplicates", minArgs: 0, class: opWholeTable, barrier: alwaysBarrier, exec: (*Executor).execDropDuplicates})
-	registerOp(opSpec{name: "winsorize", minArgs: 1, class: opElementwise, refs: inPlaceRefs, exec: (*Executor).execWinsorize})
-	registerOp(opSpec{name: "target_encode", minArgs: 1, encoder: true, class: opElementwise,
+	registerOp(opSpec{name: "drop_duplicates", minArgs: 0, barrier: alwaysBarrier, exec: (*Executor).execDropDuplicates})
+	registerOp(opSpec{name: "winsorize", minArgs: 1, refs: inPlaceRefs, exec: (*Executor).execWinsorize})
+	registerOp(opSpec{name: "target_encode", minArgs: 1, encoder: true,
 		refs: func(st Stmt, target string) colRefs {
 			col := st.Arg(0)
 			r := colRefs{reads: []string{col}, removes: []string{col}, adds: []string{col + "__tenc"}}

@@ -129,10 +129,7 @@ func (e *Executor) runSegment(nodes []*dagNode, tr, te *data.Table, maxOH int, s
 		wsp.SetInt("ready", int64(len(ready)))
 		// colOf is read concurrently below and only written between
 		// waves, so node table construction inside workers is race-free.
-		// Wave width borrows from the same budget nested sharders draw
-		// on, so waves × shards never exceed the configured Workers.
-		extra := e.budget.tryAcquire(len(ready) - 1)
-		outs, _ := pool.Map(1+extra, len(ready), func(k int) (nodeOutcome, error) {
+		outs, _ := pool.Map(e.Workers, len(ready), func(k int) (nodeOutcome, error) {
 			j := ready[k]
 			if dead[j] {
 				return nodeOutcome{}, nil
@@ -144,7 +141,6 @@ func (e *Executor) runSegment(nodes []*dagNode, tr, te *data.Table, maxOH int, s
 			nsp.End()
 			return out, nil
 		})
-		e.budget.release(extra)
 		wsp.End()
 		for k, j := range ready {
 			done[j] = true
@@ -204,7 +200,7 @@ func (e *Executor) runDAGNode(nd *dagNode, tableName string, colOf map[string]*d
 		beforeNames[i] = c.Name
 		before[c.Name] = true
 	}
-	ctx := &execCtx{e: e, tr: ptab, maxOH: maxOH, node: out.buf, sh: e.shardFor(nd.spec)}
+	ctx := &execCtx{e: e, tr: ptab, maxOH: maxOH, node: out.buf}
 	if out.err = nd.spec.exec(e, nd.st, ctx); out.err != nil {
 		return out
 	}

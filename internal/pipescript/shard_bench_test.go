@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"catdb/internal/bench/baseline"
 	"catdb/internal/data"
 )
 
 // shardBenchTable builds a 4-column, rows-row table with injected
 // missing cells: a deep elementwise chain over few columns is the worst
 // case for statement-level DAG parallelism (everything serializes on
-// column dependencies) and the best case for row sharding.
+// column dependencies), so the lane measures the serial row loops.
 func shardBenchTable(rows int) *data.Table {
 	rng := rand.New(rand.NewSource(23))
 	tab := data.NewTable("shardbench")
@@ -36,15 +35,13 @@ func shardBenchTable(rows int) *data.Table {
 	return tab
 }
 
-// BenchmarkShardElementwise measures row-sharded execution of deep
-// elementwise chains over a 1M-row table. Each chain is column-dependent
-// (each op consumes its predecessor's output), so the statement DAG can
-// overlap at most the four chains; both passes run it, so the gap
-// between them is the row-shard axis alone.
-//
-// `make bench` runs this twice: BENCH_BASELINE=shard captures the
-// serial row-loop baseline into BENCH_shard.json, then the default
-// sharded pass records the parallel numbers against it.
+// BenchmarkShardElementwise measures deep elementwise chains over a
+// 1M-row table. Each chain is column-dependent (each op consumes its
+// predecessor's output), so the statement DAG can overlap at most the
+// four chains and the time is dominated by the per-op row loops and the
+// exact column summaries the param fits build. Both benchmarks keep
+// their Shard names so BENCH_shard.json stays comparable across
+// captures.
 func BenchmarkShardElementwise(b *testing.B) {
 	const rows = 1_000_000
 	base := shardBenchTable(rows)
@@ -63,10 +60,6 @@ onehot "cat"
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardRows := 0 // default chunk size
-	if baseline.Lane("shard") {
-		shardRows = -1 // serial row loops
-	}
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("rows=%d/workers=%d", rows, workers)
 		b.Run(name, func(b *testing.B) {
@@ -74,7 +67,7 @@ onehot "cat"
 				b.StopTimer()
 				tr := base.Clone()
 				te := base.Head(512)
-				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers, shardRows: shardRows}
+				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers}
 				b.StartTimer()
 				if _, err := ex.Execute(p, tr, te); err != nil {
 					b.Fatal(err)
@@ -86,8 +79,8 @@ onehot "cat"
 
 // BenchmarkShardBatchScore measures batched serving: one artifact is
 // fitted up front, then each iteration transforms and scores a 500k-row
-// batch through the fitted pipeline. The serial lane disables the row
-// sharder; the default pass shards, so the gap is row sharding alone.
+// batch through the fitted pipeline (serial row loops, the feature
+// completeness check, the matrix build and forest inference).
 func BenchmarkShardBatchScore(b *testing.B) {
 	const batchRows = 500_000
 	fitTab := shardBenchTable(20_000)
@@ -116,14 +109,10 @@ train model=random_forest target="y" trees=15
 		b.Fatal(err)
 	}
 	batch := shardBenchTable(batchRows)
-	shardRows := 0 // default chunk size
-	if baseline.Lane("shard") {
-		shardRows = -1 // serial row loops
-	}
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("batch=%d/workers=%d", batchRows, workers)
 		b.Run(name, func(b *testing.B) {
-			fp.Workers, fp.shardRows = workers, shardRows
+			fp.Workers = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fp.Predict(batch); err != nil {

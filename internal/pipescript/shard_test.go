@@ -11,52 +11,128 @@ import (
 	"catdb/internal/obs"
 )
 
-// The shard sweep every equivalence test covers: chunk sizes from
-// pathological (every row its own task) through default-ish to
-// never-shards, crossed with pool sizes.
-var (
-	shardRowsSweep    = []int{1, 7, 4096, 1 << 30}
-	shardWorkersSweep = []int{1, 2, 8}
-)
+// These suites are named for the row-shard axis they used to sweep: a
+// shard was a row-range view of a column handed to one worker. Row
+// shards are gone and every op is one plain loop over the whole column,
+// so the axis that stays is how that column is stored. Each input runs
+// through the serial reference (linear statements, one worker, inputs
+// as Table.Split hands them out) and then through the default executor
+// over every storage layout crossed with pool sizes, requiring
+// bit-identical results and errors everywhere.
+var shardWorkersSweep = []int{1, 2, 8}
 
-// execShardWays runs the serial reference (linear statements, serial
-// row loops, one worker) and then the default executor across the full
-// (shardRows, workers) sweep, requiring bit-identical results and errors
-// everywhere.
+// rowLayouts re-store a table's cells without changing a value:
+//   - split: as given, row-mapped views over a shared source;
+//   - dense: every column gathered into private dense storage, so the
+//     row index is the storage index;
+//   - interleaved: a view whose row i is storage slot 2i+1 of a store
+//     whose even slots hold decoy cells (a foreign value, every other
+//     one missing), so any read or gap count that escapes the view
+//     mapping changes the result.
+var rowLayouts = []struct {
+	name string
+	of   func(*data.Table) *data.Table
+}{
+	{"split", func(t *data.Table) *data.Table { return t }},
+	{"dense", denseLayout},
+	{"interleaved", interleavedLayout},
+}
+
+func denseLayout(t *data.Table) *data.Table {
+	out := data.NewTable(t.Name)
+	for _, c := range t.Cols {
+		d := &data.Column{Name: c.Name, Kind: c.Kind}
+		for i := 0; i < c.Len(); i++ {
+			d.AppendFrom(c, i)
+		}
+		out.MustAddColumn(d)
+	}
+	return out
+}
+
+func interleavedLayout(t *data.Table) *data.Table {
+	wide := data.NewTable(t.Name)
+	for _, c := range t.Cols {
+		d := &data.Column{Name: c.Name, Kind: c.Kind}
+		for i := 0; i < c.Len(); i++ {
+			switch {
+			case i%2 == 0:
+				d.AppendMissing()
+			case c.Kind == data.KindString:
+				d.AppendStrs("decoy")
+			default:
+				d.AppendNums(1e6)
+			}
+			d.AppendFrom(c, i)
+		}
+		wide.MustAddColumn(d)
+	}
+	rows := make([]int, t.NumRows())
+	for i := range rows {
+		rows[i] = 2*i + 1
+	}
+	return wide.SelectRows(rows)
+}
+
+// execShardWays runs the serial reference and then the default executor
+// across the full (layout, workers) sweep.
 func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table), target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
 	refReg := obs.NewRegistry()
 	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-		linear: true, shardRows: -1, Workers: 1, Metrics: refReg}
+		linear: true, Workers: 1, Metrics: refReg}
 	wantRes, wantErr := base.Execute(p, tr, te)
-	for _, sr := range shardRowsSweep {
+	for _, lay := range rowLayouts {
 		for _, w := range shardWorkersSweep {
 			tr, te := mk()
 			reg := obs.NewRegistry()
 			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-				shardRows: sr, Workers: w, Metrics: reg}
-			gotRes, gotErr := ex.Execute(p, tr, te)
-			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
+				Workers: w, Metrics: reg}
+			gotRes, gotErr := ex.Execute(p, lay.of(tr), lay.of(te))
+			label := fmt.Sprintf("layout=%s workers=%d", lay.name, w)
 			checkScheduling(t, label, p, refReg, reg, gotErr)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+				t.Fatalf("%s: serial err=%v got err=%v", label, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
+					t.Fatalf("%s: error mismatch\nserial: %v\ngot:    %v", label, wantErr, gotErr)
 				}
 				continue
 			}
 			a, b := *wantRes, *gotRes
 			a.Program, b.Program = nil, nil
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
+				t.Fatalf("%s: result mismatch\nserial: %+v\ngot:    %+v", label, a, b)
 			}
 		}
 	}
 	return wantRes, wantErr
+}
+
+// The layouts must not change a cell, or the sweep compares nothing.
+func TestShardLayoutsPreserveCells(t *testing.T) {
+	tr, _ := split(messyTable(200, 2), 3)
+	for _, lay := range rowLayouts {
+		got := lay.of(tr)
+		if !reflect.DeepEqual(got.ColumnNames(), tr.ColumnNames()) {
+			t.Fatalf("%s: columns %v, want %v", lay.name, got.ColumnNames(), tr.ColumnNames())
+		}
+		for _, c := range tr.Cols {
+			g := got.Col(c.Name)
+			if g.Kind != c.Kind || g.Len() != c.Len() || g.MissingCount() != c.MissingCount() {
+				t.Fatalf("%s: column %q kind/len/gaps %v/%d/%d, want %v/%d/%d", lay.name, c.Name,
+					g.Kind, g.Len(), g.MissingCount(), c.Kind, c.Len(), c.MissingCount())
+			}
+			for i := 0; i < c.Len(); i++ {
+				if g.ValueString(i) != c.ValueString(i) || g.IsMissing(i) != c.IsMissing(i) {
+					t.Fatalf("%s: column %q row %d is %q, want %q", lay.name, c.Name, i, g.ValueString(i), c.ValueString(i))
+				}
+			}
+		}
+	}
 }
 
 func TestShardMatchesSerialFullPipeline(t *testing.T) {
@@ -127,9 +203,9 @@ train model=linear_regression target="y"
 `, mk, "y", data.Regression)
 }
 
-// Shard execution over CoW view inputs: SelectRows produces row-mapped
-// views sharing slabs with the source; BeginShardWrite must gather them
-// privately so the source table is untouched and results match serial.
+// Copy-on-write view inputs: SelectRows produces row-mapped views
+// sharing slabs with the source; every write must promote privately, so
+// the source table is untouched and results match serial.
 func TestShardMatchesSerialOnCoWViews(t *testing.T) {
 	source := messyTable(700, 6)
 	mk := func() (*data.Table, *data.Table) {
@@ -156,7 +232,7 @@ train model=naive_bayes target="y"
 }
 
 // Error-carrying pipelines must raise the identical first error (same
-// line, code, message) at any shard setting, sharded or not.
+// line, code, message) whatever the layout and pool size.
 func TestShardMatchesSerialErrors(t *testing.T) {
 	for _, src := range []string{
 		"pipeline \"e\"\nimpute \"nope\" strategy=median\ntrain target=\"y\"\n",
@@ -171,7 +247,8 @@ func TestShardMatchesSerialErrors(t *testing.T) {
 	}
 }
 
-// Fitted artifacts must serialize byte-identically at any shard setting.
+// Fitted artifacts must serialize byte-identically whatever the layout
+// and pool size.
 func TestShardFitArtifactIdentical(t *testing.T) {
 	src := `pipeline "fit"
 impute "num" strategy=median
@@ -183,7 +260,7 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true, shardRows: -1}
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true, Workers: 1}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +269,10 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sr := range shardRowsSweep {
+	for _, lay := range rowLayouts {
 		for _, w := range shardWorkersSweep {
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, shardRows: sr, Workers: w}
-			_, gotFP, err := ex.Fit(p, tr, te)
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
+			_, gotFP, err := ex.Fit(p, lay.of(tr), lay.of(te))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,14 +281,14 @@ train model=random_forest target="y" trees=10
 				t.Fatal(err)
 			}
 			if string(want) != string(got) {
-				t.Fatalf("shardRows=%d workers=%d: artifact differs\nbaseline: %s\nsharded:  %s", sr, w, want, got)
+				t.Fatalf("layout=%s workers=%d: artifact differs\nserial: %s\ngot:    %s", lay.name, w, want, got)
 			}
 		}
 	}
 }
 
-// Randomized programs: row sharding must reproduce serial execution
-// (results and errors) whatever the program shape.
+// Randomized programs must reproduce serial execution (results and
+// errors) whatever the program shape, layout and pool size.
 func TestShardPropertyRandomPrograms(t *testing.T) {
 	mk := func() (*data.Table, *data.Table) {
 		n := 240
@@ -245,150 +322,5 @@ func TestShardPropertyRandomPrograms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			execShardWays(t, src, mk, "y", data.Binary)
 		})
-	}
-}
-
-// Shard task counters depend only on (row count, shardRows) — never on
-// the worker count — so observability stays deterministic under any
-// parallelism.
-func TestShardMetricsDeterministic(t *testing.T) {
-	src := `pipeline "m"
-impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-khot "lst"
-scale "num" method=standard
-train model=naive_bayes target="y"
-`
-	p := mustParse(t, src)
-	counters := func(w int) map[string]int64 {
-		tr, te := split(messyTable(900, 4), 5)
-		reg := obs.NewRegistry()
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, shardRows: 64, Workers: w, Metrics: reg}
-		if _, err := ex.Execute(p, tr, te); err != nil {
-			t.Fatal(err)
-		}
-		return map[string]int64{
-			"impute": reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(),
-			"dedup":  reg.Counter("catdb_shard_tasks_total", "op", "dedup_values").Value(),
-			"onehot": reg.Counter("catdb_shard_tasks_total", "op", "onehot").Value(),
-			"scale":  reg.Counter("catdb_shard_tasks_total", "op", "scale").Value(),
-			"matrix": reg.Counter("catdb_shard_tasks_total", "op", "matrix").Value(),
-		}
-	}
-	want := counters(1)
-	for op, v := range want {
-		if v == 0 {
-			t.Fatalf("op %s recorded no shard tasks at shardRows=64: %+v", op, want)
-		}
-	}
-	for _, w := range shardWorkersSweep[1:] {
-		if got := counters(w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: shard task counters diverge\nwant %+v\ngot  %+v", w, want, got)
-		}
-	}
-	// Sharding disabled must record nothing.
-	tr, te := split(messyTable(900, 4), 5)
-	reg := obs.NewRegistry()
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, shardRows: -1, Workers: 4, Metrics: reg}
-	if _, err := ex.Execute(p, tr, te); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(); got != 0 {
-		t.Fatalf("shardRows=-1 still recorded %d shard tasks", got)
-	}
-}
-
-// Every registered op carries a sharding class consistent with its pure
-// flag, and the elementwise set is exactly the ops whose handlers route
-// row loops through the sharder.
-func TestOpShardClasses(t *testing.T) {
-	elementwise := map[string]bool{
-		"impute": true, "impute_all": true, "clip_outliers": true, "scale": true,
-		"onehot": true, "khot": true, "hash_encode": true, "ordinal": true,
-		"split_composite": true, "extract_token": true, "dedup_values": true,
-		"bin_numeric": true, "log_transform": true, "interaction": true,
-		"winsorize": true, "target_encode": true,
-	}
-	seen := 0
-	for name, spec := range opRegistry {
-		switch spec.class {
-		case opPure, opElementwise, opStatefulFit, opWholeTable:
-		default:
-			t.Fatalf("op %q has an invalid shard class %d", name, spec.class)
-		}
-		if spec.pure != (spec.class == opPure) {
-			t.Fatalf("op %q: pure=%v but class=%d", name, spec.pure, spec.class)
-		}
-		if elementwise[name] != (spec.class == opElementwise) {
-			t.Fatalf("op %q: elementwise classification mismatch (class=%d)", name, spec.class)
-		}
-		if spec.class == opElementwise {
-			seen++
-		}
-	}
-	if seen != len(elementwise) {
-		t.Fatalf("expected %d elementwise ops, registry has %d", len(elementwise), seen)
-	}
-}
-
-// The serving path: Transform and Predict must be bit-identical across
-// shard settings and worker counts.
-func TestServingShardIdentical(t *testing.T) {
-	src := `pipeline "serve"
-impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-khot "lst"
-scale "num" method=standard
-train model=random_forest target="y" trees=10
-`
-	p := mustParse(t, src)
-	tr, te := split(messyTable(500, 8), 3)
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 4}
-	_, fp, err := ex.Fit(p, tr, te)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := messyTable(400, 9)
-	batch.DropColumn("y")
-
-	fp.shardRows, fp.Workers = -1, 1
-	wantT, err := fp.Transform(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantP, err := fp.Predict(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sr := range shardRowsSweep {
-		for _, w := range shardWorkersSweep {
-			fp.shardRows, fp.Workers = sr, w
-			gotT, err := fp.Transform(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
-			if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
-			}
-			for _, name := range wantT.ColumnNames() {
-				wc, gc := wantT.Col(name), gotT.Col(name)
-				for i := 0; i < wc.Len(); i++ {
-					if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
-						t.Fatalf("%s: column %q row %d differs (%q vs %q)",
-							label, name, i, wc.ValueString(i), gc.ValueString(i))
-					}
-				}
-			}
-			gotP, err := fp.Predict(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantP, gotP) {
-				t.Fatalf("%s: predictions differ", label)
-			}
-		}
 	}
 }

@@ -16,11 +16,7 @@ import (
 
 func warmStats(cols ...*data.Column) {
 	for _, c := range cols {
-		_ = c.MissingCount()
-		_ = c.DistinctCount()
-		if c.Kind.IsNumeric() {
-			_ = c.NumericStats()
-		}
+		_ = c.Summary()
 	}
 }
 
@@ -28,7 +24,15 @@ func assertSummaryFresh(t *testing.T, c *data.Column, ctx string) {
 	t.Helper()
 	fresh := c.Clone()
 	if got, want := c.MissingCount(), fresh.MissingCount(); got != want {
-		t.Errorf("%s: MissingCount = %d, fresh recompute = %d (stale summary)", ctx, got, want)
+		t.Errorf("%s: MissingCount = %d, fresh recompute = %d", ctx, got, want)
+	}
+	// MissingCount counts the mask directly, so the memoized Summary's
+	// own gap count needs its own staleness check.
+	if got, want := summaryMissing(c), summaryMissing(fresh); got != want {
+		t.Errorf("%s: Summary gap count = %d, fresh recompute = %d (stale summary)", ctx, got, want)
+	}
+	if got, want := c.MissingCount(), summaryMissing(c); got != want {
+		t.Errorf("%s: MissingCount = %d, Summary gap count = %d", ctx, got, want)
 	}
 	if got, want := c.DistinctCount(), fresh.DistinctCount(); got != want {
 		t.Errorf("%s: DistinctCount = %d, fresh recompute = %d (stale summary)", ctx, got, want)
@@ -41,6 +45,14 @@ func assertSummaryFresh(t *testing.T, c *data.Column, ctx string) {
 		!same(got.Max, want.Max) || !same(got.Median, want.Median) {
 		t.Errorf("%s: NumericStats = %+v, fresh recompute = %+v (stale summary)", ctx, got, want)
 	}
+}
+
+// summaryMissing reads the Summary gap count as Rows - Present(), which
+// keeps the storage-field name out of code outside internal/data (see
+// `make lint-encapsulation`).
+func summaryMissing(c *data.Column) int {
+	s := c.Summary()
+	return s.Rows - s.Present()
 }
 
 func numColWithMissing() *data.Column {
@@ -56,7 +68,7 @@ func TestImputeInvalidatesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyImpute(nil, c, num, str)
+	applyImpute(c, num, str)
 	if c.MissingCount() != 0 {
 		t.Fatal("impute left missing count stale")
 	}
@@ -66,7 +78,7 @@ func TestImputeInvalidatesSummary(t *testing.T) {
 func TestClipInvalidatesSummary(t *testing.T) {
 	c := numColWithMissing()
 	warmStats(c)
-	clipColumn(nil, c, 2, 6)
+	clipColumn(c, 2, 6)
 	if got := c.NumericStats().Max; got != 6 {
 		t.Fatalf("max after clip = %g, want 6 (stale summary)", got)
 	}
@@ -80,7 +92,7 @@ func TestScaleInvalidatesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.apply(nil, c)
+	sp.apply(c)
 	if got := c.NumericStats().Mean; math.Abs(got) > 1e-9 {
 		t.Fatalf("mean after standard scale = %g, want ~0 (stale summary)", got)
 	}
@@ -90,7 +102,7 @@ func TestScaleInvalidatesSummary(t *testing.T) {
 func TestExtractTokenInvalidatesSummary(t *testing.T) {
 	c := data.NewString("s", []string{"red car fast", "blue car slow", "red car fast"})
 	warmStats(c)
-	extractToken(nil, c)
+	ExtractTokens(c)
 	assertSummaryFresh(t, c, "extractToken")
 }
 
@@ -108,7 +120,7 @@ func TestSplitCompositeInvalidatesSummary(t *testing.T) {
 	tab := data.NewTable("t")
 	tab.MustAddColumn(data.NewString("code", []string{"ab 1", "cd 2", "ab 3"}))
 	warmStats(tab.Col("code"))
-	if err := splitComposite(nil, tab, "code", "code_part", "code_num"); err != nil {
+	if err := SplitComposite(tab, "code", "code_part", "code_num"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"code_part", "code_num"} {

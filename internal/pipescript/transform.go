@@ -48,38 +48,36 @@ var transformBuckets = append([]float64{0.00001, 0.00005, 0.0001, 0.0005}, obs.D
 
 // apply applies one recorded step to a table. Columns absent from the
 // batch are skipped, matching how the executor treats the evaluation
-// split; this is the single implementation both paths share. The
-// sharder routes elementwise row loops over the pool (nil = serial);
-// results are bit-identical either way.
-func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
+// split; this is the single implementation both paths share.
+func (s *FittedStep) apply(t *data.Table) error {
 	switch s.Op {
 	case "impute":
 		if c := t.Col(s.Col); c != nil {
-			applyImpute(sh, c, s.Num, s.Str)
+			applyImpute(c, s.Num, s.Str)
 		}
 	case "clip":
 		if c := t.Col(s.Col); c != nil {
-			clipColumn(sh, c, s.Lo, s.Hi)
+			clipColumn(c, s.Lo, s.Hi)
 		}
 	case "scale":
 		if c := t.Col(s.Col); c != nil {
-			scaleParams{method: s.Method, a: s.A, b: s.B}.apply(sh, c)
+			scaleParams{method: s.Method, a: s.A, b: s.B}.apply(c)
 		}
 	case "onehot":
 		if t.Col(s.Col) != nil {
-			return oneHot(sh, t, s.Col, s.Cats)
+			return oneHot(t, s.Col, s.Cats)
 		}
 	case "khot":
 		if t.Col(s.Col) != nil {
-			return kHot(sh, t, s.Col, s.Cats)
+			return KHot(t, s.Col, s.Cats)
 		}
 	case "hash_encode":
 		if t.Col(s.Col) != nil {
-			return hashEncode(sh, t, s.Col, s.Buckets)
+			return hashEncode(t, s.Col, s.Buckets)
 		}
 	case "ordinal":
 		if t.Col(s.Col) != nil {
-			return ordinalEncode(sh, t, s.Col, s.Mapping)
+			return ordinalEncode(t, s.Col, s.Mapping)
 		}
 	case "drop":
 		for _, name := range s.Cols {
@@ -87,11 +85,11 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 		}
 	case "split_composite":
 		if t.Col(s.Col) != nil {
-			return splitComposite(sh, t, s.Col, s.Name, s.NameB)
+			return SplitComposite(t, s.Col, s.Name, s.NameB)
 		}
 	case "extract_token":
 		if c := t.Col(s.Col); c != nil {
-			extractToken(sh, c)
+			ExtractTokens(c)
 		}
 	case "dedup_values":
 		if c := t.Col(s.Col); c != nil {
@@ -99,21 +97,21 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 			for raw, canon := range s.ValueMap {
 				byNormal[NormalizeValue(raw)] = canon
 			}
-			applyMapping(sh, c, s.ValueMap, byNormal)
+			applyMapping(c, s.ValueMap, byNormal)
 		}
 	case "bin_numeric":
 		if c := t.Col(s.Col); c != nil {
-			binifyColumn(sh, c, s.Edges)
+			binifyColumn(c, s.Edges)
 		}
 	case "log_transform":
 		if c := t.Col(s.Col); c != nil {
-			logTransformColumn(sh, c)
+			logTransformColumn(c)
 		}
 	case "interaction":
-		return buildInteraction(sh, t, s.Col, s.ColB, s.Method, s.Name)
+		return buildInteraction(t, s.Col, s.ColB, s.Method, s.Name)
 	case "target_encode":
 		if t.Col(s.Col) != nil {
-			return smoothedMeanEncode(sh, t, s.Col, s.Sums, s.Counts, s.Global)
+			return smoothedMeanEncode(t, s.Col, s.Sums, s.Counts, s.Global)
 		}
 	default:
 		return fmt.Errorf("unknown fitted step %q", s.Op)
@@ -121,26 +119,16 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 	return nil
 }
 
-// sharderFor builds the per-call row sharder the serving path uses:
-// the same engine the executor runs, sized by the artifact's Workers.
-// Each call gets a fresh worker budget — serving calls are independent,
-// so there is no cross-call budget to share beyond the pool itself.
-func (fp *FittedPipeline) sharderFor() *sharder {
-	return newSharder(fp.shardRows, newWorkerBudget(fp.Workers), fp.Metrics)
-}
-
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
-// never mutated. Steps run in recorded order; elementwise row loops
-// shard over the pool, and the output is bit-identical to the serial
+// never mutated. Steps run in recorded order, each as one serial row
 // loop.
 func (fp *FittedPipeline) Transform(t *data.Table) (*data.Table, error) {
 	out := t.Clone()
-	sh := fp.sharderFor()
 	for i := range fp.Steps {
 		step := &fp.Steps[i]
 		start := obs.Now()
-		if err := step.apply(sh, out); err != nil {
+		if err := step.apply(out); err != nil {
 			return nil, artErr(ErrStepFailed, "step %d (%s on %q): %v", i, step.Op, step.Col, err)
 		}
 		// Nil-registry calls are free, so no conditional is needed here.
@@ -221,12 +209,12 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 		if !c.Kind.IsNumeric() {
 			return nil, artErr(ErrFeatureType, "fitted feature %q is %s, want numeric", name, c.Kind)
 		}
-		if c.MissingCount() > 0 {
+		if n := c.MissingCount(); n > 0 {
 			return nil, artErr(ErrFeatureNaN,
-				"fitted feature %q has %d missing values in the batch", name, c.MissingCount())
+				"fitted feature %q has %d missing values in the batch", name, n)
 		}
 	}
-	X, _ := matrixAligned(fp.sharderFor(), tt, fp.Features)
+	X, _ := matrixAligned(tt, fp.Features)
 	m, err := fp.liveModel()
 	if err != nil {
 		return nil, err
