@@ -18,9 +18,10 @@ test:
 # client, own trace store, read-only shared datasets). internal/profile
 # and internal/data cover the parallel profiler and concurrent
 # column-summary / profile-cache paths; internal/ml covers the parallel
-# ensemble fit/inference paths.
+# ensemble fit/inference paths; internal/pool covers the pool itself,
+# including panic recovery on its worker goroutines.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/core/... ./internal/profile/... ./internal/data/... ./internal/ml/... ./internal/obs/... ./internal/pipescript/...
+	$(GO) test -race ./internal/bench/... ./internal/core/... ./internal/profile/... ./internal/data/... ./internal/ml/... ./internal/obs/... ./internal/pipescript/... ./internal/pool/...
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.

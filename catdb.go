@@ -225,7 +225,7 @@ type PipGenOutcome struct {
 // (workers <= 0 defaults to GOMAXPROCS; workers == 1 runs serially).
 func ParallelPipGen(jobs []PipGenJob, workers int) []PipGenOutcome {
 	outs := make([]PipGenOutcome, len(jobs))
-	pool.Each(workers, len(jobs), func(i int) error {
+	err := pool.Each(workers, len(jobs), func(i int) error {
 		j := jobs[i]
 		if j.Dataset == nil {
 			outs[i].Err = fmt.Errorf("catdb: job %d: nil dataset", i)
@@ -244,6 +244,15 @@ func ParallelPipGen(jobs []PipGenJob, workers int) []PipGenOutcome {
 		outs[i].Result = res
 		return nil
 	})
+	if err != nil {
+		// Only a panicking job fails the batch. It, and every job the
+		// pool did not start after it, reports its *pool.PanicError.
+		for i := range outs {
+			if outs[i].Result == nil && outs[i].Err == nil {
+				outs[i].Err = err
+			}
+		}
+	}
 	return outs
 }
 

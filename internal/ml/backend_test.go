@@ -428,3 +428,71 @@ func TestTrainPredictionCapture(t *testing.T) {
 		}
 	}
 }
+
+// histGoldenModels fits the four histogram-backend models the goldens
+// pin on one shape, at the given worker count, and returns each one's
+// export digest keyed by model name.
+func histGoldenModels(t *testing.T, X [][]float64, yc []int, yr []float64, workers int) map[string]string {
+	t.Helper()
+	fc := ForestConfig{Trees: 8, Seed: 7, Workers: workers, Backend: BackendHist}
+	gc := GBMConfig{Rounds: 10, Seed: 7, Workers: workers, Backend: BackendHist}
+	forestClass, forestReg := NewForest(fc), NewForest(fc)
+	gbmClass, gbmReg := NewGBM(gc), NewGBM(gc)
+	for _, err := range []error{
+		forestClass.FitClass(X, yc, 3),
+		forestReg.Fit(X, yr),
+		gbmClass.FitClass(X, yc, 3),
+		gbmReg.Fit(X, yr),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string]string{
+		"forest-class": exportDigest(t, forestClass),
+		"forest-reg":   exportDigest(t, forestReg),
+		"gbm-class":    exportDigest(t, gbmClass),
+		"gbm-reg":      exportDigest(t, gbmReg),
+	}
+}
+
+// TestHistForestGolden pins histogram-backend forests and boosted models
+// (classification, one-vs-rest, and regression), at one worker and at
+// four, to digests of their exported parameters captured before the
+// histogram slabs were packed by per-feature bin count. It runs on a
+// 2,000-row slice of the bench matrix and on the wide serve shape, where
+// most features have 2 bins and a few have 256. Any change to a bin's
+// sums, the candidate order or the RNG stream changes them.
+func TestHistForestGolden(t *testing.T) {
+	bench := benchMatrix(2000, benchFeatures, 42)
+	wideX, wideYC, wideYR := wideData(wideRows, 42)
+	shapes := []struct {
+		name   string
+		X      [][]float64
+		yc     []int
+		yr     []float64
+		golden map[string]string
+	}{
+		{"bench", bench, benchLabels(bench, benchClasses, 42), benchTarget(bench, 42), map[string]string{
+			"forest-class": "18f7bf851f64850e2e6fecf0785b8c9a1c90d9d28346491ff9043f181636fb9d",
+			"forest-reg":   "7bdc91f10d932325e0ce6e11bf7a66d9aaa8a12f2d1b69c8937f139af3c9778e",
+			"gbm-class":    "b1e70879c885604c520a0a9ede020946468106e0bca2c7f30ffb7be685443363",
+			"gbm-reg":      "3ef99d68679f9690d163488ab4ad8e64fb7a19016a877e2dcd4c0c3425dae4de",
+		}},
+		{"wide", wideX, wideYC, wideYR, map[string]string{
+			"forest-class": "f87040fe089f5025740c548c6f3c60d867a966a9fbfea59b78b8ea45c021ddd1",
+			"forest-reg":   "ef781627b4b7a7a0a25f20f5a35ae1a17fb3e3cacf1c02f44ddd8639a02b322d",
+			"gbm-class":    "1f9b3bd30d4f01928080dd870a002b8cdc936cf71f38ecb9a3d3b88014ee1298",
+			"gbm-reg":      "0a307b950a35ec2cd72ad6fed8ad9fd6a02d1608c79487f8bbc4876af62b6908",
+		}},
+	}
+	for _, s := range shapes {
+		for _, workers := range []int{1, 4} {
+			for model, got := range histGoldenModels(t, s.X, s.yc, s.yr, workers) {
+				if want := s.golden[model]; got != want {
+					t.Errorf("%s %s (workers=%d): digest %s, want %s", s.name, model, workers, got, want)
+				}
+			}
+		}
+	}
+}

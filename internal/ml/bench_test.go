@@ -71,6 +71,48 @@ func benchTarget(X [][]float64, seed int64) []float64 {
 	return y
 }
 
+// wideRows/wideFeatures size the serve-shaped design matrix: a few
+// continuous columns beside one-hot groups, so most features bin to 2
+// codes and a few to the full 256.
+const (
+	wideRows       = 2000
+	wideFeatures   = 100
+	wideContinuous = 10
+	wideLevels     = 10 // columns per one-hot group
+)
+
+// wideData builds the serve-shaped matrix with a 3-class label and a
+// regression target that both depend on continuous and one-hot columns.
+func wideData(n int, seed int64) ([][]float64, []int, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	yc := make([]int, n)
+	yr := make([]float64, n)
+	for i := range X {
+		row := make([]float64, wideFeatures)
+		for j := 0; j < wideContinuous; j++ {
+			row[j] = rng.NormFloat64()
+		}
+		s := row[0] - 0.5*row[1] + 0.25*row[2]*row[3]
+		for g, off := 0, wideContinuous; off < wideFeatures; g, off = g+1, off+wideLevels {
+			level := rng.Intn(wideLevels)
+			row[off+level] = 1
+			if g < 3 {
+				s += 0.4 * float64(level%3)
+			}
+		}
+		X[i] = row
+		yr[i] = s + 0.3*rng.NormFloat64()
+		switch {
+		case s > 1:
+			yc[i] = 1
+		case s < 0:
+			yc[i] = 2
+		}
+	}
+	return X, yc, yr
+}
+
 var (
 	benchOnce sync.Once
 	benchX    [][]float64
@@ -146,6 +188,21 @@ func BenchmarkMLForestFitExactReg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1, Backend: BackendExact})
+		if err := f.Fit(X, yr); err != nil {
+			b.Fatal(err)
+		}
+		sink(f.Predict(X[:1])[0])
+	}
+}
+
+// BenchmarkMLForestFitHistWide is the cold regression-forest fit on the
+// serve shape: 2,000 rows × 100 features, 90 of them one-hot, on the
+// histogram backend.
+func BenchmarkMLForestFitHistWide(b *testing.B) {
+	X, _, yr := wideData(wideRows, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForest(ForestConfig{Trees: 40, Seed: 7, Workers: 1, Backend: BackendHist})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}

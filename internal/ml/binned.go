@@ -17,8 +17,8 @@ import (
 type BinnedMatrix struct {
 	rows     int
 	features int
-	maxBins  int         // max bins over features; histogram slab stride
 	bins     []int       // per-feature bin count (len(edges[f])+1)
+	off      []int       // histogram slab layout: feature f's bins are off[f]..off[f+1]-1
 	codes    [][]uint8   // feature-major: codes[f][row]
 	edges    [][]float64 // per-feature ascending thresholds; bin b holds (edges[b-1], edges[b]]
 	raw      [][]float64 // original row-major matrix, for the exact-fallback sweep
@@ -42,6 +42,7 @@ func NewBinnedMatrix(X [][]float64, maxBins int) *BinnedMatrix {
 	bm := &BinnedMatrix{
 		rows: n, features: d,
 		bins:  make([]int, d),
+		off:   make([]int, d+1),
 		codes: make([][]uint8, d),
 		edges: make([][]float64, d),
 		raw:   X,
@@ -66,12 +67,7 @@ func NewBinnedMatrix(X [][]float64, maxBins int) *BinnedMatrix {
 		bm.edges[f] = edges
 		bm.codes[f] = codes
 		bm.bins[f] = len(edges) + 1
-		if bm.bins[f] > bm.maxBins {
-			bm.maxBins = bm.bins[f]
-		}
-	}
-	if bm.maxBins == 0 {
-		bm.maxBins = 1
+		bm.off[f+1] = bm.off[f] + bm.bins[f]
 	}
 	return bm
 }

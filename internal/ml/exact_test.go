@@ -267,7 +267,13 @@ func forestDigest(t *testing.T, classify bool, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm, err := Export(f)
+	return exportDigest(t, f)
+}
+
+// exportDigest returns the SHA-256 of a fitted model's exported JSON.
+func exportDigest(t *testing.T, m any) string {
+	t.Helper()
+	fm, err := Export(m)
 	if err != nil {
 		t.Fatal(err)
 	}

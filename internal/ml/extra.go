@@ -47,8 +47,7 @@ func (e *ExtraTrees) FitClass(X [][]float64, y []int, classes int) error {
 	for i, v := range y {
 		yf[i] = float64(v)
 	}
-	e.fit(X, yf)
-	return nil
+	return e.fit(X, yf)
 }
 
 // Fit trains the ensemble for regression.
@@ -57,19 +56,20 @@ func (e *ExtraTrees) Fit(X [][]float64, y []float64) error {
 		return err
 	}
 	e.classes = 0
-	e.fit(X, append([]float64(nil), y...))
-	return nil
+	return e.fit(X, append([]float64(nil), y...))
 }
 
 // fit grows trees in parallel over a binned matrix built once and shared
 // read-only by every tree (large fits only). Each tree derives its RNG
 // from its index, so the ensemble is bit-identical at any worker count.
-func (e *ExtraTrees) fit(X [][]float64, y []float64) {
+// Only a panicking tree fails the fit, which leaves the ensemble
+// unfitted.
+func (e *ExtraTrees) fit(X [][]float64, y []float64) error {
 	cfg := e.Config
 	e.trees = make([]*randTree, cfg.Trees)
 	n := len(y)
 	bm := sharedBinned(X, cfg.Backend, cfg.MaxBins, n)
-	_ = pool.Each(cfg.Workers, cfg.Trees, func(t int) error {
+	err := pool.Each(cfg.Workers, cfg.Trees, func(t int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*104729))
 		rows := make([]int, n)
 		for i := range rows {
@@ -78,6 +78,10 @@ func (e *ExtraTrees) fit(X [][]float64, y []float64) {
 		e.trees[t] = e.grow(X, bm, y, rows, 0, rng)
 		return nil
 	})
+	if err != nil {
+		e.trees = nil
+	}
+	return err
 }
 
 func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []int, depth int, rng *rand.Rand) *randTree {

@@ -16,8 +16,10 @@ type grower struct {
 	rng  *rand.Rand
 
 	// Histogram slab management. A slab holds one histogram per feature,
-	// strided by maxBins × statLen; statLen is the per-bin payload:
-	// classes counts (classification) or {count, sum, sum²} (regression).
+	// packed by each feature's own bin count: feature f's bins occupy
+	// slab[off[f]*statLen : off[f+1]*statLen] (g.hist). statLen is the
+	// per-bin payload: classes counts (classification) or {count, sum,
+	// sum²} (regression).
 	slabLen int
 	statLen int
 	free    [][]float64
@@ -29,6 +31,8 @@ type grower struct {
 	// Exact-sweep sort buffer, grown to the largest exact node so far:
 	// on the exact backend that is the root, one allocation per tree.
 	arr []vy
+	// Feature-sample buffer, refilled at every node (sampleFeatures).
+	feats []int
 }
 
 func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []float64, rng *rand.Rand) *grower {
@@ -38,7 +42,7 @@ func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []flo
 		if t.classes > 0 {
 			g.statLen = t.classes
 		}
-		g.slabLen = bm.features * bm.maxBins * g.statLen
+		g.slabLen = bm.off[bm.features] * g.statLen
 	}
 	if t.classes > 0 {
 		g.scratchL = make([]float64, t.classes)
@@ -46,6 +50,34 @@ func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []flo
 		g.totals = make([]float64, t.classes)
 	}
 	return g
+}
+
+// sampleFeatures draws the features a node examines: a random order of
+// all nf features, cut to FeatureFrac of them. The loop is math/rand's
+// Perm (fixed under the Go 1 compatibility promise), so the order and
+// the RNG stream match g.rng.Perm(nf); the buffer is reused across
+// nodes.
+func (g *grower) sampleFeatures(nf int) []int {
+	if cap(g.feats) < nf {
+		g.feats = make([]int, nf)
+	}
+	m := g.feats[:nf]
+	for i := range m {
+		j := g.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	if frac := g.t.Config.FeatureFrac; frac > 0 && frac < 1 {
+		return m[:max(1, int(float64(nf)*frac+0.999))]
+	}
+	return m
+}
+
+// hist returns feature f's histogram in slab: its bins' statLen-wide
+// payloads, packed back to back.
+func (g *grower) hist(slab []float64, f int) []float64 {
+	off := g.bm.off
+	return slab[off[f]*g.statLen : off[f+1]*g.statLen]
 }
 
 // classCodes converts float labels to class indices, with -1 for labels
@@ -256,11 +288,10 @@ func (g *grower) accumulate(slab []float64, idx []int) {
 	bm := g.bm
 	if g.t.classes > 0 {
 		classes := g.t.classes
-		fw := bm.maxBins * classes
 		yc := g.yc
 		for f := 0; f < bm.features; f++ {
 			codes := bm.codes[f]
-			h := slab[f*fw : (f+1)*fw]
+			h := g.hist(slab, f)
 			for _, r := range idx {
 				c := yc[r]
 				if c < 0 {
@@ -271,11 +302,10 @@ func (g *grower) accumulate(slab []float64, idx []int) {
 		}
 		return
 	}
-	fw := bm.maxBins * 3
 	y := g.y
 	for f := 0; f < bm.features; f++ {
 		codes := bm.codes[f]
-		h := slab[f*fw : (f+1)*fw]
+		h := g.hist(slab, f)
 		for _, r := range idx {
 			b := int(codes[r]) * 3
 			v := y[r]
@@ -295,15 +325,7 @@ func (g *grower) accumulate(slab []float64, idx []int) {
 func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr float64, nLeft int, ok bool) {
 	t := g.t
 	bm := g.bm
-	nf := bm.features
-	feats := g.rng.Perm(nf)
-	if t.Config.FeatureFrac > 0 && t.Config.FeatureFrac < 1 {
-		k := int(float64(nf)*t.Config.FeatureFrac + 0.999)
-		if k < 1 {
-			k = 1
-		}
-		feats = feats[:k]
-	}
+	feats := g.sampleFeatures(bm.features)
 	n := len(idx)
 	nn := float64(n)
 	bestGain := 0.0
@@ -311,7 +333,6 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 
 	if t.classes > 0 {
 		classes := t.classes
-		fw := bm.maxBins * classes
 		totals := g.totals
 		left, right := g.scratchL, g.scratchR
 		for _, f := range feats {
@@ -319,7 +340,7 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 			if nb < 2 {
 				continue
 			}
-			h := slab[f*fw:]
+			h := g.hist(slab, f)
 			for c := range left {
 				left[c] = 0
 			}
@@ -360,7 +381,6 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 
 	// Regression: per-bin {count, sum, sum²} prefixes give each
 	// boundary's variance split in O(1).
-	fw := bm.maxBins * 3
 	var totSum, totSq float64
 	for _, r := range idx {
 		v := g.y[r]
@@ -372,7 +392,7 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 		if nb < 2 {
 			continue
 		}
-		h := slab[f*fw:]
+		h := g.hist(slab, f)
 		var cntL, sumL, sqL float64
 		for b := 0; b < nb-1; b++ {
 			bc := h[b*3]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // Backend selects how a tree finds splits.
@@ -247,37 +246,20 @@ func allRows(n int) []int {
 // vy pairs a feature value with its row's target in the exact sweep.
 type vy struct{ v, y float64 }
 
-// cmpVY orders pairs by value. It is negative exactly when a.v < b.v
-// (NaN is neither less nor greater than anything), and slices.SortFunc
-// and sort.Slice are generated from one pdqsort template that consults
-// only that "less" bit, so the sort makes the same comparisons and swaps
-// as sort.Slice with a.v < b.v and leaves the same permutation, ties
-// included — without sort.Slice's reflection swapper and closure.
-func cmpVY(a, b vy) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
-}
-
 // bestSplit scans (a sample of) features for the impurity-minimizing
 // split using a sort-and-sweep: rows are ordered by feature value once and
 // prefix statistics give each candidate boundary's gain in O(1). The sort
 // buffer and class counts are the grower's, reused by every node.
+//
+// A feature constant over the node has no split. Filling the buffer
+// already shows when every value compares equal to the first; then none
+// is NaN (NaN equals nothing), so the sorted ends would be the minimum
+// and the maximum and the equal-ends check after the sort would skip the
+// feature: the sort is skipped instead. Any other node sorts and meets
+// that check unchanged. ±0 compare equal in both checks.
 func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	t, X, y := g.t, g.X, g.y
-	nf := len(X[0])
-	feats := g.rng.Perm(nf)
-	if t.Config.FeatureFrac > 0 && t.Config.FeatureFrac < 1 {
-		k := int(float64(nf)*t.Config.FeatureFrac + 0.999)
-		if k < 1 {
-			k = 1
-		}
-		feats = feats[:k]
-	}
+	feats := g.sampleFeatures(len(X[0]))
 	n := len(idx)
 	bestGain := 0.0
 	parentImp := g.impurity(idx)
@@ -288,12 +270,18 @@ func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	// Classification sweep state.
 	leftCounts, rightCounts := g.scratchL, g.scratchR
 	for _, f := range feats {
+		first, same := X[idx[0]][f], true
 		for i, r := range idx {
-			arr[i] = vy{X[r][f], y[r]}
+			v := X[r][f]
+			arr[i] = vy{v, y[r]}
+			same = same && v == first
 		}
-		slices.SortFunc(arr, cmpVY)
-		if arr[0].v == arr[n-1].v {
+		if same {
 			continue // constant feature in this node
+		}
+		sortVY(arr)
+		if arr[0].v == arr[n-1].v {
+			continue // constant but for NaNs the sort left inside
 		}
 		// Candidate boundaries: positions where the value changes,
 		// subsampled to MaxThresholds.

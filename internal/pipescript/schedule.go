@@ -129,7 +129,9 @@ func (e *Executor) runSegment(nodes []*dagNode, tr, te *data.Table, maxOH int, s
 		wsp.SetInt("ready", int64(len(ready)))
 		// colOf is read concurrently below and only written between
 		// waves, so node table construction inside workers is race-free.
-		outs, _ := pool.Map(e.Workers, len(ready), func(k int) (nodeOutcome, error) {
+		// A node's own failure is its outcome's err; only a panicking
+		// node fails the wave (*pool.PanicError).
+		outs, err := pool.Map(e.Workers, len(ready), func(k int) (nodeOutcome, error) {
 			j := ready[k]
 			if dead[j] {
 				return nodeOutcome{}, nil
@@ -142,6 +144,9 @@ func (e *Executor) runSegment(nodes []*dagNode, tr, te *data.Table, maxOH int, s
 			return out, nil
 		})
 		wsp.End()
+		if err != nil {
+			return err
+		}
 		for k, j := range ready {
 			done[j] = true
 			for _, ch := range children[j] {

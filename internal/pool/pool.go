@@ -4,17 +4,46 @@
 // The contract that makes concurrency safe to adopt everywhere is
 // determinism: results come back in index order, and the error returned
 // is the one a serial loop over the same cells would have hit first, so a
-// caller cannot observe scheduling order through the API.
+// caller cannot observe scheduling order through the API. A task that
+// panics fails like a task that returns an error (PanicError), on the
+// serial path and on the parallel one alike, so a panic on a pool
+// goroutine never takes the process down.
 package pool
 
 import (
+	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"catdb/internal/obs"
 )
+
+// PanicError is the error Map and Each return for a task that panicked.
+type PanicError struct {
+	Index int    // the task's index
+	Value any    // the value the task panicked with
+	Stack []byte // the panicking goroutine's stack (debug.Stack)
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pool: task %d panicked: %v", e.Index, e.Value)
+}
+
+// recoverTask turns a panic in fn into a *PanicError result.
+func recoverTask[T any](fn func(i int) (T, error)) func(i int) (T, error) {
+	return func(i int) (v T, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				var zero T
+				v, err = zero, &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+			}
+		}()
+		return fn(i)
+	}
+}
 
 // DefaultWorkers is the default pool size: one worker per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -39,7 +68,8 @@ func SetMetrics(r *obs.Registry) { poolMetrics.Store(r) }
 // error of the lowest-indexed failing call and nil results. Indices are
 // dispatched in increasing order and a failure stops new dispatches, so
 // every index below the returned one has completed — the reported error
-// is exactly the one the serial harness would have surfaced.
+// is exactly the one the serial harness would have surfaced. A call that
+// panics fails with a *PanicError.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -51,6 +81,9 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n == 0 {
 		return out, nil
 	}
+	// Recovery wraps the task innermost, so a panic returns through
+	// observedTask like an error and its gauges move back.
+	fn = recoverTask(fn)
 	if reg := poolMetrics.Load(); reg != nil {
 		reg.Counter("catdb_pool_batches_total").Inc()
 		reg.Counter("catdb_pool_tasks_total").Add(int64(n))

@@ -3,9 +3,12 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"catdb/internal/obs"
 )
 
 func TestMapOrder(t *testing.T) {
@@ -47,6 +50,64 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 		}
 	}
 }
+
+// TestMapRecoversPanics runs a batch where index 3 panics and index 5
+// returns an error, serially and on four workers, with metrics
+// installed. The panic must come back as the batch's error — the
+// lowest failing index, carrying the value and the panicking stack —
+// and the active-worker and queue-depth gauges must return to their
+// pre-batch values.
+func TestMapRecoversPanics(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+	active := reg.Gauge("catdb_pool_active_workers")
+	queue := reg.Gauge("catdb_pool_queue_depth")
+	for _, workers := range []int{1, 4} {
+		activeBefore, queueBefore := active.Value(), queue.Value()
+		out, err := Map(workers, 40, func(i int) (int, error) {
+			switch i {
+			case 3:
+				panicInTask(i)
+			case 5:
+				return 0, fmt.Errorf("cell %d", i)
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if out != nil || pe.Index != 3 || pe.Value != "task 3 broke" {
+			t.Fatalf("workers=%d: out=%v, panic index %d value %v; want nil, 3, \"task 3 broke\"", workers, out, pe.Index, pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "panicInTask") {
+			t.Fatalf("workers=%d: stack does not show the panic site:\n%s", workers, pe.Stack)
+		}
+		if want := "pool: task 3 panicked: task 3 broke"; err.Error() != want {
+			t.Fatalf("workers=%d: message %q, want %q", workers, err.Error(), want)
+		}
+		if a, q := active.Value(), queue.Value(); a != activeBefore || q != queueBefore {
+			t.Fatalf("workers=%d: active workers %d (was %d), queue depth %d (was %d)", workers, a, activeBefore, q, queueBefore)
+		}
+	}
+	// Each, with a panic behind an earlier error: the lower index, the
+	// error, still wins.
+	err := Each(4, 10, func(i int) error {
+		if i == 2 {
+			return errors.New("cell 2")
+		}
+		if i == 6 {
+			panicInTask(i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "cell 2" {
+		t.Fatalf("Each: err = %v, want cell 2", err)
+	}
+}
+
+func panicInTask(i int) { panic(fmt.Sprintf("task %d broke", i)) }
 
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
