@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race verify bench lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http
+.PHONY: build vet test race fuzz verify bench lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ test:
 # including panic recovery on its worker goroutines.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/core/... ./internal/profile/... ./internal/data/... ./internal/ml/... ./internal/obs/... ./internal/pipescript/... ./internal/pool/...
+
+# Corrupt artifacts must end in an error, never a panic: fuzz the
+# tree-model loader and inference for a fixed time. A crasher lands in
+# internal/ml/testdata/fuzz/FuzzTreeModel/; commit it with the fix so
+# `make test` replays it.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s ./internal/ml/
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.
@@ -112,7 +119,7 @@ lint-http:
 		exit 1; \
 	fi
 
-verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http test race
+verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag lint-fanout lint-http test race fuzz
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;

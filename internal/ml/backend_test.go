@@ -496,3 +496,43 @@ func TestHistForestGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestExtraTreesGolden pins extra-trees ensembles, classification and
+// regression at one worker and at four, to digests of their exported
+// parameters captured while each tree was still a pointer-linked node
+// graph. The 500-row shape draws thresholds from raw feature ranges;
+// the 2,000-row shape draws bin boundaries from the shared binned
+// matrix. Any change to the RNG stream, the partition order or a leaf's
+// value changes them.
+func TestExtraTreesGolden(t *testing.T) {
+	shapes := []struct {
+		rows               int
+		classGold, regGold string
+	}{
+		{validationRows,
+			"acb6b1bdabb29afc8c3124d0a8a607991f22844ba2e2507acb453166adf9ca16",
+			"a2b4c561cb41dc56a5f6d24130f2904664fde4b99e85ce8e2ab91d5e0d160f84"},
+		{2000,
+			"ea68f54e8f06d65226445cf991e1bbb6ba11cd3b0e1bcbd086dc90f7c016a638",
+			"eed4515638dd864f3276803fd25a7b5fc6a5c93a55aa00bb03b25f1e0186cb6b"},
+	}
+	for _, s := range shapes {
+		X := benchMatrix(s.rows, benchFeatures, 42)
+		for _, workers := range []int{1, 4} {
+			cfg := ForestConfig{Trees: 8, Seed: 7, Workers: workers}
+			class, reg := NewExtraTrees(cfg), NewExtraTrees(cfg)
+			if err := class.FitClass(X, benchLabels(X, benchClasses, 42), benchClasses); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Fit(X, benchTarget(X, 42)); err != nil {
+				t.Fatal(err)
+			}
+			if got := exportDigest(t, class); got != s.classGold {
+				t.Errorf("%d rows, classification (workers=%d): digest %s, want %s", s.rows, workers, got, s.classGold)
+			}
+			if got := exportDigest(t, reg); got != s.regGold {
+				t.Errorf("%d rows, regression (workers=%d): digest %s, want %s", s.rows, workers, got, s.regGold)
+			}
+		}
+	}
+}

@@ -248,10 +248,12 @@ func BenchmarkMLExtraTreesFitClass(b *testing.B) {
 }
 
 var (
-	benchForestOnce sync.Once
-	benchForest     *Forest
-	benchGBMOnce    sync.Once
-	benchGBM        *GBM
+	benchForestOnce    sync.Once
+	benchForest        *Forest
+	benchForestRegOnce sync.Once
+	benchForestReg     *Forest
+	benchGBMOnce       sync.Once
+	benchGBM           *GBM
 )
 
 // BenchmarkMLForestProba times batch inference over the full matrix.
@@ -266,6 +268,22 @@ func BenchmarkMLForestProba(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink(benchForest.Proba(X)[0][0])
+	}
+}
+
+// BenchmarkMLForestPredictReg times batch regression-forest inference
+// over the full matrix: the model the serve workload trains and scores.
+func BenchmarkMLForestPredictReg(b *testing.B) {
+	X, _, yr := benchData()
+	benchForestRegOnce.Do(func() {
+		benchForestReg = NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		if err := benchForestReg.Fit(X, yr); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink(benchForestReg.Predict(X)[0])
 	}
 }
 

@@ -13,22 +13,13 @@ import (
 // option AutoML portfolios like FLAML lean on.
 type ExtraTrees struct {
 	Config  ForestConfig
-	trees   []*randTree
+	trees   []*Tree
 	classes int
 }
 
 // NewExtraTrees returns an extra-trees ensemble.
 func NewExtraTrees(cfg ForestConfig) *ExtraTrees {
 	return &ExtraTrees{Config: cfg.withDefaults()}
-}
-
-type randTree struct {
-	feature   int
-	threshold float64
-	left      *randTree
-	right     *randTree
-	isLeaf    bool
-	value     []float64
 }
 
 // Fitted reports whether the ensemble has been trained.
@@ -66,16 +57,18 @@ func (e *ExtraTrees) Fit(X [][]float64, y []float64) error {
 // unfitted.
 func (e *ExtraTrees) fit(X [][]float64, y []float64) error {
 	cfg := e.Config
-	e.trees = make([]*randTree, cfg.Trees)
+	e.trees = make([]*Tree, cfg.Trees)
 	n := len(y)
 	bm := sharedBinned(X, cfg.Backend, cfg.MaxBins, n)
-	err := pool.Each(cfg.Workers, cfg.Trees, func(t int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*104729))
+	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*104729))
 		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = rng.Intn(n)
+		for r := range rows {
+			rows[r] = rng.Intn(n)
 		}
-		e.trees[t] = e.grow(X, bm, y, rows, 0, rng)
+		t := &Tree{classes: e.classes}
+		e.grow(t, X, bm, y, rows, 0, rng)
+		e.trees[i] = t
 		return nil
 	})
 	if err != nil {
@@ -84,19 +77,30 @@ func (e *ExtraTrees) fit(X [][]float64, y []float64) error {
 	return err
 }
 
-func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []int, depth int, rng *rand.Rand) *randTree {
-	leaf := e.leaf(y, idx)
-	if depth >= e.Config.MaxDepth || len(idx) < 2*e.Config.MinLeaf {
-		return leaf
+// grow appends the subtree over rows idx to t: a split on the first
+// random candidate that leaves both children viable, or else a leaf.
+func (e *ExtraTrees) grow(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, idx []int, depth int, rng *rand.Rand) {
+	if depth < e.Config.MaxDepth && len(idx) >= 2*e.Config.MinLeaf {
+		if f, thr, li, ri, ok := e.randomSplit(X, bm, idx, rng); ok {
+			at := t.split(f, thr)
+			e.grow(t, X, bm, y, li, depth+1, rng)
+			t.setRight(at)
+			e.grow(t, X, bm, y, ri, depth+1, rng)
+			return
+		}
 	}
-	// Random splits: try a handful of (feature, random threshold) pairs
-	// and keep the first that produces two viable children. With a binned
-	// matrix the candidate scan runs over contiguous uint8 codes — the
-	// threshold is a random bin boundary mapped back to its real value —
-	// instead of chasing row pointers through the float matrix.
+	t.leaf(y, idx)
+}
+
+// randomSplit tries a handful of (feature, random threshold) pairs and
+// returns the first that produces two viable children. With a binned
+// matrix the candidate scan runs over contiguous uint8 codes — the
+// threshold is a random bin boundary mapped back to its real value —
+// instead of chasing row pointers through the float matrix.
+func (e *ExtraTrees) randomSplit(X [][]float64, bm *BinnedMatrix, idx []int, rng *rand.Rand) (f int, thr float64, li, ri []int, ok bool) {
 	d := len(X[0])
 	for try := 0; try < 8; try++ {
-		f := rng.Intn(d)
+		f = rng.Intn(d)
 		if bm != nil {
 			codes := bm.codes[f]
 			minC, maxC := codes[idx[0]], codes[idx[0]]
@@ -113,8 +117,8 @@ func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []in
 				continue
 			}
 			cb := int(minC) + rng.Intn(int(maxC)-int(minC))
-			li := make([]int, 0, len(idx)/2)
-			ri := make([]int, 0, len(idx)/2)
+			li = make([]int, 0, len(idx)/2)
+			ri = make([]int, 0, len(idx)/2)
 			b := uint8(cb)
 			for _, r := range idx {
 				if codes[r] <= b {
@@ -126,11 +130,7 @@ func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []in
 			if len(li) < e.Config.MinLeaf || len(ri) < e.Config.MinLeaf {
 				continue
 			}
-			return &randTree{
-				feature: f, threshold: bm.edges[f][cb],
-				left:  e.grow(X, bm, y, li, depth+1, rng),
-				right: e.grow(X, bm, y, ri, depth+1, rng),
-			}
+			return f, bm.edges[f][cb], li, ri, true
 		}
 		lo, hi := X[idx[0]][f], X[idx[0]][f]
 		for _, r := range idx {
@@ -144,8 +144,8 @@ func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []in
 		if lo == hi {
 			continue
 		}
-		thr := lo + rng.Float64()*(hi-lo)
-		var li, ri []int
+		thr = lo + rng.Float64()*(hi-lo)
+		li, ri = nil, nil
 		for _, r := range idx {
 			if X[r][f] <= thr {
 				li = append(li, r)
@@ -156,73 +156,25 @@ func (e *ExtraTrees) grow(X [][]float64, bm *BinnedMatrix, y []float64, idx []in
 		if len(li) < e.Config.MinLeaf || len(ri) < e.Config.MinLeaf {
 			continue
 		}
-		return &randTree{
-			feature: f, threshold: thr,
-			left:  e.grow(X, bm, y, li, depth+1, rng),
-			right: e.grow(X, bm, y, ri, depth+1, rng),
-		}
+		return f, thr, li, ri, true
 	}
-	return leaf
-}
-
-func (e *ExtraTrees) leaf(y []float64, idx []int) *randTree {
-	if e.classes > 0 {
-		dist := make([]float64, e.classes)
-		for _, r := range idx {
-			c := int(y[r])
-			if c >= 0 && c < e.classes {
-				dist[c]++
-			}
-		}
-		return &randTree{isLeaf: true, value: dist}
-	}
-	var sum float64
-	for _, r := range idx {
-		sum += y[r]
-	}
-	return &randTree{isLeaf: true, value: []float64{sum / float64(len(idx))}}
-}
-
-func (t *randTree) lookup(row []float64) []float64 {
-	n := t
-	for n != nil && !n.isLeaf {
-		if n.feature < len(row) && row[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n == nil {
-		return []float64{0}
-	}
-	return n.value
+	return 0, 0, nil, nil, false
 }
 
 // Predict averages trees (regression) or returns argmax classes. An
 // unfitted ensemble predicts zeros.
 func (e *ExtraTrees) Predict(X [][]float64) []float64 {
-	out := make([]float64, len(X))
 	if !e.Fitted() {
-		return out
+		return make([]float64, len(X))
 	}
 	if e.classes > 0 {
-		p := e.Proba(X)
-		for i := range p {
-			out[i] = float64(argmax(p[i]))
+		out := make([]float64, len(X))
+		for i, p := range e.Proba(X) {
+			out[i] = float64(argmax(p))
 		}
 		return out
 	}
-	nt := float64(len(e.trees))
-	forChunks(e.Config.Workers, len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for _, t := range e.trees {
-				sum += t.lookup(X[i])[0]
-			}
-			out[i] = sum / nt
-		}
-	})
-	return out
+	return meanPredict(e.trees, e.Config.Workers, X)
 }
 
 // PredictClass returns class predictions (zeros when unfitted).
@@ -233,8 +185,9 @@ func (e *ExtraTrees) PredictClass(X [][]float64) []int {
 	return predictFromProba(e.Proba(X))
 }
 
-// Proba averages the trees' class distributions, fanning row chunks over
-// the worker pool. An unfitted ensemble returns all-zero rows.
+// Proba sums the trees' normalized class distributions, skipping empty
+// leaves, and divides by the summed mass, fanning row chunks over the
+// worker pool. An unfitted ensemble returns all-zero rows.
 func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))
 	if !e.Fitted() || e.classes == 0 {
@@ -247,7 +200,7 @@ func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, e.classes)
 			for _, t := range e.trees {
-				v := t.lookup(X[i])
+				v := t.dist(X[i])
 				var sum float64
 				for _, x := range v {
 					sum += x
@@ -255,10 +208,8 @@ func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 				if sum == 0 {
 					continue
 				}
-				for j := range acc {
-					if j < len(v) {
-						acc[j] += v[j] / sum
-					}
+				for j, x := range v {
+					acc[j] += x / sum
 				}
 			}
 			var tot float64

@@ -116,23 +116,29 @@ func (f *Forest) fitEnsemble(X [][]float64, yf []float64) error {
 // averaged probabilities (classification, returned as class indices).
 // An unfitted forest predicts zeros rather than NaN.
 func (f *Forest) Predict(X [][]float64) []float64 {
-	out := make([]float64, len(X))
 	if !f.Fitted() {
-		return out
+		return make([]float64, len(X))
 	}
 	if f.classes > 0 {
-		p := f.Proba(X)
-		for i := range p {
-			out[i] = float64(argmax(p[i]))
+		out := make([]float64, len(X))
+		for i, p := range f.Proba(X) {
+			out[i] = float64(argmax(p))
 		}
 		return out
 	}
-	nt := float64(len(f.trees))
-	forChunks(f.Config.Workers, len(X), func(lo, hi int) {
+	return meanPredict(f.trees, f.Config.Workers, X)
+}
+
+// meanPredict averages regression trees' leaf values per row of X,
+// fanning row chunks over the worker pool.
+func meanPredict(trees []*Tree, workers int, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	nt := float64(len(trees))
+	forChunks(workers, len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
-			for _, t := range f.trees {
-				sum += t.leafValue(X[i])[0]
+			for _, t := range trees {
+				sum += t.vals[t.leafOf(X[i])]
 			}
 			out[i] = sum / nt
 		}
@@ -163,7 +169,7 @@ func (f *Forest) Proba(X [][]float64) [][]float64 {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, f.classes)
 			for _, t := range f.trees {
-				v := t.leafValue(X[i])
+				v := t.dist(X[i])
 				var sum float64
 				for _, x := range v {
 					sum += x

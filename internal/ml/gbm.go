@@ -132,7 +132,7 @@ func (g *GBM) Predict(X [][]float64) []float64 {
 		for i := lo; i < hi; i++ {
 			s := g.base
 			for _, t := range g.trees {
-				s += lr * t.leafValue(X[i])[0]
+				s += lr * t.vals[t.leafOf(X[i])]
 			}
 			out[i] = s
 		}
@@ -227,7 +227,7 @@ func (g *GBM) Proba(X [][]float64) [][]float64 {
 			for c := 0; c < g.classes; c++ {
 				s := g.bias[c]
 				for _, t := range g.ovr[c] {
-					s += lr * t.leafValue(X[i])[0]
+					s += lr * t.vals[t.leafOf(X[i])]
 				}
 				row[c] = sigmoid(s)
 				sum += row[c]

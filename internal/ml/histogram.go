@@ -95,14 +95,16 @@ func classCodes(y []float64, classes int) []int16 {
 	return yc
 }
 
-// grow builds the subtree over rows idx. slab, when non-nil, is this
-// node's pre-derived histogram (from the parent-minus-sibling trick);
-// ownership transfers in: grow releases or re-derives it.
-func (g *grower) grow(idx []int, depth int, slab []float64) *treeNode {
+// grow appends the subtree over rows idx to the tree. slab, when
+// non-nil, is this node's pre-derived histogram (from the
+// parent-minus-sibling trick); ownership transfers in: grow releases or
+// re-derives it.
+func (g *grower) grow(idx []int, depth int, slab []float64) {
 	t := g.t
 	if depth >= t.Config.MaxDepth || len(idx) < 2*t.Config.MinLeaf || g.pure(idx) {
 		g.release(slab)
-		return g.makeLeaf(idx)
+		g.makeLeaf(idx)
+		return
 	}
 	useHist := g.bm != nil && len(idx) >= t.Config.ExactNodeSize
 	var feat, bin, nLeft int
@@ -121,7 +123,8 @@ func (g *grower) grow(idx []int, depth int, slab []float64) *treeNode {
 	}
 	if !ok {
 		g.release(slab)
-		return g.makeLeaf(idx)
+		g.makeLeaf(idx)
+		return
 	}
 	var li, ri []int
 	if useHist {
@@ -137,16 +140,17 @@ func (g *grower) grow(idx []int, depth int, slab []float64) *treeNode {
 	}
 	if len(li) < t.Config.MinLeaf || len(ri) < t.Config.MinLeaf {
 		g.release(slab)
-		return g.makeLeaf(idx)
+		g.makeLeaf(idx)
+		return
 	}
 	var lh, rh []float64
 	if useHist {
 		lh, rh = g.childSlabs(slab, li, ri, depth+1)
 	}
-	n := &treeNode{feature: feat, threshold: thr}
-	n.left = g.grow(li, depth+1, lh)
-	n.right = g.grow(ri, depth+1, rh)
-	return n
+	at := t.split(feat, thr)
+	g.grow(li, depth+1, lh)
+	t.setRight(at)
+	g.grow(ri, depth+1, rh)
 }
 
 func (g *grower) pure(idx []int) bool {
@@ -159,29 +163,15 @@ func (g *grower) pure(idx []int) bool {
 	return true
 }
 
-// makeLeaf emits a leaf node and, for regression trees with prediction
+// makeLeaf appends a leaf and, for regression trees with prediction
 // capture enabled, records the leaf value for every covered row.
-func (g *grower) makeLeaf(idx []int) *treeNode {
-	if g.t.classes > 0 {
-		dist := make([]float64, g.t.classes)
-		for _, r := range idx {
-			if c := g.yc[r]; c >= 0 {
-				dist[c]++
-			}
-		}
-		return &treeNode{isLeaf: true, value: dist}
-	}
-	var sum float64
-	for _, r := range idx {
-		sum += g.y[r]
-	}
-	mean := sum / float64(len(idx))
+func (g *grower) makeLeaf(idx []int) {
+	mean := g.t.leaf(g.y, idx)
 	if g.pred != nil {
 		for _, r := range idx {
 			g.pred[r] = mean
 		}
 	}
-	return &treeNode{isLeaf: true, value: []float64{mean}}
 }
 
 // partitionCodes splits idx by binned code — a contiguous uint8 scan —

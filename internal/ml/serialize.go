@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 )
 
 // This file implements fitted-model serialization for the pipeline
@@ -27,10 +28,12 @@ const (
 	KindTabPFN     = "tabpfn"
 )
 
-// FlatNode is one node of a flattened decision tree: children are
-// indices into the node slice (-1 = absent), parents precede children,
-// so a preorder walk reconstructs the tree and malformed child indices
-// (<= parent) are rejected rather than looping.
+// FlatNode is one node of a dumped decision tree. It is the dump form
+// only: a fitted tree lives as a packed node array (see Tree), and
+// Export and FittedModel.Model convert between the two. Nodes are in
+// pre-order with children as indices into the node slice (-1 = absent).
+// The loader requires a split's Left to be the next node (i+1) and its
+// Right to lie after it, so every walk moves forward and ends on a leaf.
 type FlatNode struct {
 	Feature   int       `json:"f"`
 	Threshold float64   `json:"t"`
@@ -84,115 +87,71 @@ type FittedModel struct {
 	Scaler *ScalerDump `json:"scaler,omitempty"`
 }
 
-func flattenNode(n *treeNode, out *[]FlatNode) int {
-	if n == nil {
-		return -1
+// dumpTrees writes fitted trees out in dump form. A leaf's Value shares
+// the tree's slab, capped at its own values so that appending to it
+// cannot overwrite the next leaf.
+func dumpTrees(trees []*Tree) [][]FlatNode {
+	out := make([][]FlatNode, len(trees))
+	for k, t := range trees {
+		width := max(t.classes, 1)
+		nodes := make([]FlatNode, len(t.nodes))
+		for i, n := range t.nodes {
+			if n.feat < 0 {
+				o := int(n.right)
+				nodes[i] = FlatNode{Left: -1, Right: -1, Leaf: true, Value: t.vals[o : o+width : o+width]}
+			} else {
+				nodes[i] = FlatNode{Feature: int(n.feat), Threshold: n.thr, Left: i + 1, Right: int(n.right)}
+			}
+		}
+		out[k] = nodes
 	}
-	i := len(*out)
-	*out = append(*out, FlatNode{})
-	fn := FlatNode{Feature: n.feature, Threshold: n.threshold,
-		Leaf: n.isLeaf, Value: n.value, Left: -1, Right: -1}
-	fn.Left = flattenNode(n.left, out)
-	fn.Right = flattenNode(n.right, out)
-	(*out)[i] = fn
-	return i
-}
-
-func flattenRandNode(n *randTree, out *[]FlatNode) int {
-	if n == nil {
-		return -1
-	}
-	i := len(*out)
-	*out = append(*out, FlatNode{})
-	fn := FlatNode{Feature: n.feature, Threshold: n.threshold,
-		Leaf: n.isLeaf, Value: n.value, Left: -1, Right: -1}
-	fn.Left = flattenRandNode(n.left, out)
-	fn.Right = flattenRandNode(n.right, out)
-	(*out)[i] = fn
-	return i
-}
-
-func flattenTree(root *treeNode) []FlatNode {
-	var out []FlatNode
-	flattenNode(root, &out)
 	return out
 }
 
-func flattenRandTree(root *randTree) []FlatNode {
-	var out []FlatNode
-	flattenRandNode(root, &out)
-	return out
+// loadTree validates one dumped tree and packs it into the live form. A
+// leaf must carry exactly one value per class, or one value for a
+// regression tree (classes 0); a split must test a feature >= 0, with
+// Left = i+1 and i+1 < Right < len(nodes). Export writes only such
+// trees, and together the rules keep every walk in bounds.
+func loadTree(nodes []FlatNode, classes int) (*Tree, error) {
+	if len(nodes) == 0 || len(nodes) > math.MaxInt32 {
+		return nil, fmt.Errorf("ml: malformed tree dump: %d nodes", len(nodes))
+	}
+	width := max(classes, 1)
+	t := NewTree(TreeConfig{})
+	t.classes = classes
+	t.nodes = make([]node, len(nodes))
+	for i, fn := range nodes {
+		if fn.Leaf {
+			if len(fn.Value) != width {
+				return nil, fmt.Errorf("ml: malformed tree dump: leaf %d has %d values, want %d",
+					i, len(fn.Value), width)
+			}
+			t.nodes[i] = node{feat: -1, right: int32(len(t.vals))}
+			t.vals = append(t.vals, fn.Value...)
+			continue
+		}
+		if fn.Feature < 0 || fn.Feature > math.MaxInt32 ||
+			fn.Left != i+1 || fn.Right <= i+1 || fn.Right >= len(nodes) {
+			return nil, fmt.Errorf("ml: malformed tree dump: node %d splits on feature %d with children %d, %d (of %d nodes)",
+				i, fn.Feature, fn.Left, fn.Right, len(nodes))
+		}
+		t.nodes[i] = node{thr: fn.Threshold, feat: int32(fn.Feature), right: int32(fn.Right)}
+	}
+	return t, nil
 }
 
-func checkChild(nodes []FlatNode, parent, child int) error {
-	if child == -1 {
-		return nil
+// loadTrees loads a list of dumped trees (see loadTree).
+func loadTrees(dumps [][]FlatNode, classes int) ([]*Tree, error) {
+	trees := make([]*Tree, len(dumps))
+	for i, nodes := range dumps {
+		t, err := loadTree(nodes, classes)
+		if err != nil {
+			return nil, err
+		}
+		trees[i] = t
 	}
-	if child <= parent || child >= len(nodes) {
-		return fmt.Errorf("ml: malformed tree dump: node %d has child index %d (of %d nodes)",
-			parent, child, len(nodes))
-	}
-	return nil
-}
-
-func unflattenNode(nodes []FlatNode, i int) (*treeNode, error) {
-	if i < 0 {
-		return nil, nil
-	}
-	fn := nodes[i]
-	if err := checkChild(nodes, i, fn.Left); err != nil {
-		return nil, err
-	}
-	if err := checkChild(nodes, i, fn.Right); err != nil {
-		return nil, err
-	}
-	n := &treeNode{feature: fn.Feature, threshold: fn.Threshold,
-		isLeaf: fn.Leaf, value: fn.Value}
-	var err error
-	if n.left, err = unflattenNode(nodes, fn.Left); err != nil {
-		return nil, err
-	}
-	if n.right, err = unflattenNode(nodes, fn.Right); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-func unflattenRandNode(nodes []FlatNode, i int) (*randTree, error) {
-	if i < 0 {
-		return nil, nil
-	}
-	fn := nodes[i]
-	if err := checkChild(nodes, i, fn.Left); err != nil {
-		return nil, err
-	}
-	if err := checkChild(nodes, i, fn.Right); err != nil {
-		return nil, err
-	}
-	n := &randTree{feature: fn.Feature, threshold: fn.Threshold,
-		isLeaf: fn.Leaf, value: fn.Value}
-	var err error
-	if n.left, err = unflattenRandNode(nodes, fn.Left); err != nil {
-		return nil, err
-	}
-	if n.right, err = unflattenRandNode(nodes, fn.Right); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-func unflattenTree(nodes []FlatNode) (*treeNode, error) {
-	if len(nodes) == 0 {
-		return nil, nil
-	}
-	return unflattenNode(nodes, 0)
-}
-
-func unflattenRandTree(nodes []FlatNode) (*randTree, error) {
-	if len(nodes) == 0 {
-		return nil, nil
-	}
-	return unflattenRandNode(nodes, 0)
+	return trees, nil
 }
 
 func dumpScaler(s *scaler) *ScalerDump {
@@ -217,41 +176,25 @@ func Export(m any) (*FittedModel, error) {
 		if !v.Fitted() {
 			return nil, fmt.Errorf("ml: cannot export unfitted forest")
 		}
-		fm := &FittedModel{Kind: KindForest, Classes: v.classes}
-		for _, t := range v.trees {
-			fm.Trees = append(fm.Trees, flattenTree(t.root))
-		}
-		return fm, nil
+		return &FittedModel{Kind: KindForest, Classes: v.classes, Trees: dumpTrees(v.trees)}, nil
 	case *ExtraTrees:
 		if !v.Fitted() {
 			return nil, fmt.Errorf("ml: cannot export unfitted extra-trees ensemble")
 		}
-		fm := &FittedModel{Kind: KindExtraTrees, Classes: v.classes}
-		for _, t := range v.trees {
-			fm.Trees = append(fm.Trees, flattenRandTree(t))
-		}
-		return fm, nil
+		return &FittedModel{Kind: KindExtraTrees, Classes: v.classes, Trees: dumpTrees(v.trees)}, nil
 	case *Tree:
-		if v.root == nil {
+		if len(v.nodes) == 0 {
 			return nil, fmt.Errorf("ml: cannot export unfitted tree")
 		}
-		return &FittedModel{Kind: KindTree, Classes: v.classes,
-			Trees: [][]FlatNode{flattenTree(v.root)}}, nil
+		return &FittedModel{Kind: KindTree, Classes: v.classes, Trees: dumpTrees([]*Tree{v})}, nil
 	case *GBM:
 		if !v.Fitted() {
 			return nil, fmt.Errorf("ml: cannot export unfitted gbm")
 		}
-		fm := &FittedModel{Kind: KindGBM, Classes: v.classes,
+		fm := &FittedModel{Kind: KindGBM, Classes: v.classes, Trees: dumpTrees(v.trees),
 			Base: v.base, Bias: v.bias, LearningRate: v.Config.LearningRate}
-		for _, t := range v.trees {
-			fm.Trees = append(fm.Trees, flattenTree(t.root))
-		}
 		for _, chain := range v.ovr {
-			var flat [][]FlatNode
-			for _, t := range chain {
-				flat = append(flat, flattenTree(t.root))
-			}
-			fm.OVR = append(fm.OVR, flat)
+			fm.OVR = append(fm.OVR, dumpTrees(chain))
 		}
 		return fm, nil
 	case *KNN:
@@ -300,80 +243,57 @@ func Export(m any) (*FittedModel, error) {
 // it is a runtime knob and never part of the serialized state — models
 // are bit-identical at any setting.
 func (fm *FittedModel) Model(workers int) (any, error) {
+	if fm.Classes < 0 {
+		return nil, fmt.Errorf("ml: %s dump has %d classes", fm.Kind, fm.Classes)
+	}
 	switch fm.Kind {
-	case KindForest:
-		f := NewForest(ForestConfig{Workers: workers})
-		f.classes = fm.Classes
-		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes)
-			if err != nil {
-				return nil, err
-			}
-			t := NewTree(TreeConfig{})
-			t.root, t.classes = root, fm.Classes
-			f.trees = append(f.trees, t)
+	case KindForest, KindExtraTrees:
+		trees, err := loadTrees(fm.Trees, fm.Classes)
+		if err != nil {
+			return nil, err
 		}
-		if len(f.trees) == 0 {
-			return nil, fmt.Errorf("ml: forest dump has no trees")
+		if len(trees) == 0 {
+			return nil, fmt.Errorf("ml: %s dump has no trees", fm.Kind)
 		}
+		cfg := ForestConfig{Workers: workers}
+		if fm.Kind == KindExtraTrees {
+			e := NewExtraTrees(cfg)
+			e.trees, e.classes = trees, fm.Classes
+			return e, nil
+		}
+		f := NewForest(cfg)
+		f.trees, f.classes = trees, fm.Classes
 		return f, nil
-	case KindExtraTrees:
-		e := NewExtraTrees(ForestConfig{Workers: workers})
-		e.classes = fm.Classes
-		for _, nodes := range fm.Trees {
-			root, err := unflattenRandTree(nodes)
-			if err != nil {
-				return nil, err
-			}
-			e.trees = append(e.trees, root)
-		}
-		if len(e.trees) == 0 {
-			return nil, fmt.Errorf("ml: extra-trees dump has no trees")
-		}
-		return e, nil
 	case KindTree:
 		if len(fm.Trees) != 1 {
 			return nil, fmt.Errorf("ml: tree dump needs exactly 1 tree, got %d", len(fm.Trees))
 		}
-		root, err := unflattenTree(fm.Trees[0])
+		t, err := loadTree(fm.Trees[0], fm.Classes)
 		if err != nil {
 			return nil, err
 		}
-		t := NewTree(TreeConfig{})
-		t.root, t.classes = root, fm.Classes
 		return t, nil
 	case KindGBM:
+		// Boosted trees are regression trees at any class count.
+		trees, err := loadTrees(fm.Trees, 0)
+		if err != nil {
+			return nil, err
+		}
 		g := NewGBM(GBMConfig{LearningRate: fm.LearningRate, Workers: workers})
-		g.classes = fm.Classes
-		g.base = fm.Base
-		g.bias = fm.Bias
-		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes)
+		g.classes, g.base, g.bias, g.trees = fm.Classes, fm.Base, fm.Bias, trees
+		for _, chain := range fm.OVR {
+			trees, err := loadTrees(chain, 0)
 			if err != nil {
 				return nil, err
-			}
-			t := NewTree(TreeConfig{})
-			t.root = root
-			g.trees = append(g.trees, t)
-		}
-		for _, chain := range fm.OVR {
-			var trees []*Tree
-			for _, nodes := range chain {
-				root, err := unflattenTree(nodes)
-				if err != nil {
-					return nil, err
-				}
-				t := NewTree(TreeConfig{})
-				t.root = root
-				trees = append(trees, t)
 			}
 			g.ovr = append(g.ovr, trees)
 		}
 		if len(g.trees) == 0 && len(g.ovr) == 0 {
 			return nil, fmt.Errorf("ml: gbm dump has no trees")
 		}
-		if fm.Classes > 0 && len(g.ovr) != fm.Classes {
-			return nil, fmt.Errorf("ml: gbm dump has %d OVR chains for %d classes", len(g.ovr), fm.Classes)
+		if fm.Classes > 0 && (len(g.ovr) != fm.Classes || len(g.bias) != fm.Classes) {
+			return nil, fmt.Errorf("ml: gbm dump has %d OVR chains and %d biases for %d classes",
+				len(g.ovr), len(g.bias), fm.Classes)
 		}
 		g.fitted = true
 		return g, nil

@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -229,22 +230,142 @@ func TestSerializeDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// malformedTreeDumps are tree-model dumps FittedModel.Model must reject.
+// Before the loader checked them, each of the first eight loaded and
+// then panicked in Predict or Proba.
+func malformedTreeDumps() []struct {
+	name string
+	fm   FittedModel
+} {
+	leaf := func(v ...float64) FlatNode { return FlatNode{Left: -1, Right: -1, Leaf: true, Value: v} }
+	split := func(f, l, r int) FlatNode { return FlatNode{Feature: f, Threshold: 0.5, Left: l, Right: r} }
+	one := func(nodes ...FlatNode) [][]FlatNode { return [][]FlatNode{nodes} }
+	return []struct {
+		name string
+		fm   FittedModel
+	}{
+		{"regression forest leaf without values", FittedModel{Kind: KindForest,
+			Trees: one(split(0, 1, 2), leaf(), leaf(1))}},
+		{"gbm leaf without values", FittedModel{Kind: KindGBM, LearningRate: 0.1,
+			Trees: one(split(0, 1, 2), leaf(1), leaf())}},
+		{"classification leaf with more values than classes", FittedModel{Kind: KindForest, Classes: 2,
+			Trees: one(split(0, 1, 2), leaf(1, 2, 3), leaf(1, 2))}},
+		{"split on feature -1", FittedModel{Kind: KindForest,
+			Trees: one(split(-1, 1, 2), leaf(1), leaf(2))}},
+		{"forest with negative classes", FittedModel{Kind: KindForest, Classes: -1, Trees: one(leaf(1))}},
+		{"extra-trees with negative classes", FittedModel{Kind: KindExtraTrees, Classes: -2, Trees: one(leaf(1))}},
+		{"gbm with negative classes", FittedModel{Kind: KindGBM, Classes: -1, Trees: one(leaf(1))}},
+		{"gbm with fewer biases than classes", FittedModel{Kind: KindGBM, Classes: 2, Bias: []float64{0},
+			OVR: [][][]FlatNode{one(leaf(1)), one(leaf(-1))}}},
+		{"tree without nodes", FittedModel{Kind: KindForest, Trees: [][]FlatNode{{}}}},
+		{"self-referential child", FittedModel{Kind: KindTree, Classes: 2,
+			Trees: one(split(0, 0, -1))}},
+		{"left child not the next node", FittedModel{Kind: KindTree,
+			Trees: one(split(0, 2, 1), leaf(1), leaf(2))}},
+		{"right child past the last node", FittedModel{Kind: KindTree,
+			Trees: one(split(0, 1, 3), leaf(1), leaf(2))}},
+		{"split as the last node", FittedModel{Kind: KindExtraTrees,
+			Trees: one(split(0, 1, 2))}},
+	}
+}
+
 func TestSerializeRejectsUnfittedAndMalformed(t *testing.T) {
 	if _, err := Export(NewForest(ForestConfig{})); err == nil {
 		t.Fatal("expected error exporting unfitted forest")
 	}
+	if _, err := Export(NewTree(TreeConfig{})); err == nil {
+		t.Fatal("expected error exporting unfitted tree")
+	}
 	if _, err := Export(42); err == nil {
 		t.Fatal("expected error exporting unknown type")
 	}
-	// Child index pointing at or before its parent must be rejected, not
-	// walked into a cycle.
-	bad := &FittedModel{Kind: KindTree, Classes: 2, Trees: [][]FlatNode{{
-		{Feature: 0, Threshold: 1, Left: 0, Right: -1},
-	}}}
-	if _, err := bad.Model(0); err == nil {
-		t.Fatal("expected error for self-referential tree dump")
+	for _, tc := range malformedTreeDumps() {
+		if _, err := tc.fm.Model(0); err == nil {
+			t.Errorf("%s: dump loaded without error", tc.name)
+		}
 	}
 	if _, err := (&FittedModel{Kind: "nope"}).Model(0); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
+}
+
+// FuzzTreeModel feeds arbitrary JSON to the tree-model loader. Whatever
+// FittedModel.Model accepts must then predict, and classifiers must
+// return class-wide probability rows, without panicking on rows 0, 1
+// and 7 wide that hold NaN and ±Inf. Other model kinds are out of scope.
+func FuzzTreeModel(f *testing.F) {
+	Xc, yc := synthClass(60, 3, 0.6, 1)
+	Xr, yr := synthReg(60, 0.3, 2)
+	fc := ForestConfig{Trees: 2, MaxDepth: 3, Seed: 1}
+	tc := TreeConfig{MaxDepth: 3, Seed: 1}
+	gc := GBMConfig{Rounds: 2, MaxDepth: 2, Seed: 1}
+	for _, m := range []interface {
+		FitClass(X [][]float64, y []int, classes int) error
+	}{NewForest(fc), NewExtraTrees(fc), NewTree(tc), NewGBM(gc)} {
+		if err := m.FitClass(Xc, yc, 3); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(mustJSON(f, m))
+	}
+	for _, m := range []interface {
+		Fit(X [][]float64, y []float64) error
+	}{NewForest(fc), NewExtraTrees(fc), NewTree(tc), NewGBM(gc)} {
+		if err := m.Fit(Xr, yr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(mustJSON(f, m))
+	}
+	for _, tc := range malformedTreeDumps() {
+		blob, err := json.Marshal(tc.fm)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	rows := [][]float64{
+		{}, {nan}, {inf}, {-inf}, {0},
+		{nan, -inf, inf, 0, -1, 1, 0.5},
+		{0.5, 1, -1, 0, inf, -inf, nan},
+		{0, 0, 0, 0, 0, 0, 0},
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var fm FittedModel
+		if json.Unmarshal(blob, &fm) != nil {
+			return
+		}
+		switch fm.Kind {
+		case KindForest, KindExtraTrees, KindTree, KindGBM:
+		default:
+			return
+		}
+		m, err := fm.Model(1)
+		if err != nil {
+			return
+		}
+		if got := m.(predictor).Predict(rows); len(got) != len(rows) {
+			t.Fatalf("Predict returned %d rows for %d", len(got), len(rows))
+		}
+		if fm.Classes > 0 {
+			for i, p := range m.(prober).Proba(rows) {
+				if len(p) != fm.Classes {
+					t.Fatalf("Proba row %d has %d classes, want %d", i, len(p), fm.Classes)
+				}
+			}
+		}
+	})
+}
+
+// mustJSON returns a fitted model's exported JSON.
+func mustJSON(f *testing.F, m any) []byte {
+	f.Helper()
+	fm, err := Export(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := json.Marshal(fm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return blob
 }

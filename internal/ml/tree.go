@@ -61,21 +61,87 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-type treeNode struct {
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	// leaf payload
-	isLeaf bool
-	value  []float64 // class distribution (classification) or 1-elem mean (regression)
-}
-
 // Tree is a CART decision tree usable for classification and regression.
+// Its fitted form is one node array in pre-order plus one slab of leaf
+// values (scikit-learn's array-backed tree layout).
 type Tree struct {
 	Config  TreeConfig
-	root    *treeNode
-	classes int // 0 for regression
+	nodes   []node
+	vals    []float64 // leaf values: classes per leaf, or 1 for regression
+	classes int       // 0 for regression
+}
+
+// node is one node of a fitted tree, 16 bytes. Nodes are stored in
+// pre-order, so a split's left child is the next node and right is the
+// index of its right child. A leaf has feat = -1, and its right is the
+// offset of its values in the tree's vals slab. int32 indices bound a
+// tree at 2^31 nodes and leaf values, far past any fit.
+type node struct {
+	thr   float64
+	feat  int32
+	right int32
+}
+
+// split appends a split node and returns its index. The caller grows the
+// left subtree next, then records where the right one starts with
+// setRight.
+func (t *Tree) split(feat int, thr float64) int {
+	t.nodes = append(t.nodes, node{thr: thr, feat: int32(feat)})
+	return len(t.nodes) - 1
+}
+
+// setRight points split at the next node to be appended: its right
+// child.
+func (t *Tree) setRight(split int) { t.nodes[split].right = int32(len(t.nodes)) }
+
+// leaf appends a leaf over rows idx: y's class counts for a
+// classification tree (labels outside [0,classes) are not counted), or
+// y's mean for a regression tree, which it also returns.
+func (t *Tree) leaf(y []float64, idx []int) float64 {
+	off := len(t.vals)
+	t.nodes = append(t.nodes, node{feat: -1, right: int32(off)})
+	if t.classes > 0 {
+		t.vals = append(t.vals, make([]float64, t.classes)...)
+		counts := t.vals[off:]
+		for _, r := range idx {
+			if c := int(y[r]); c >= 0 && c < t.classes {
+				counts[c]++
+			}
+		}
+		return 0
+	}
+	var sum float64
+	for _, r := range idx {
+		sum += y[r]
+	}
+	mean := sum / float64(len(idx))
+	t.vals = append(t.vals, mean)
+	return mean
+}
+
+// leafOf walks row down the tree and returns the offset in t.vals of the
+// leaf it reaches. A row too short for a split's feature goes right, as
+// does NaN.
+func (t *Tree) leafOf(row []float64) int {
+	i := 0
+	for {
+		n := t.nodes[i]
+		if n.feat < 0 {
+			return int(n.right)
+		}
+		if int(n.feat) < len(row) && row[n.feat] <= n.thr {
+			i++
+		} else {
+			i = int(n.right)
+		}
+	}
+}
+
+// dist returns the class distribution of the leaf row reaches
+// (classification trees only).
+func (t *Tree) dist(row []float64) []float64 {
+	o := t.leafOf(row)
+	return t.vals[o : o+t.classes]
 }
 
 // NewTree returns a tree with the given configuration.
@@ -171,7 +237,8 @@ func (t *Tree) fitRows(bm *BinnedMatrix, X [][]float64, yf []float64, classes in
 	if classes > 0 {
 		g.yc = classCodes(yf, classes)
 	}
-	t.root = g.grow(rows, 0, nil)
+	t.nodes, t.vals = nil, nil
+	g.grow(rows, 0, nil)
 	return nil
 }
 
@@ -182,26 +249,34 @@ const maxClasses = math.MaxInt16
 func errClasses(c int) error { return fmt.Errorf("ml: need at least 2 classes, got %d", c) }
 
 // Predict returns per-row predictions: the mean for regression, the argmax
-// class index (as float64) for classification.
+// class index (as float64) for classification. An unfitted tree predicts
+// zeros.
 func (t *Tree) Predict(X [][]float64) []float64 {
 	out := make([]float64, len(X))
+	if len(t.nodes) == 0 {
+		return out
+	}
 	for i, row := range X {
-		v := t.leafValue(row)
 		if t.classes > 0 {
-			out[i] = float64(argmax(v))
+			out[i] = float64(argmax(t.dist(row)))
 		} else {
-			out[i] = v[0]
+			out[i] = t.vals[t.leafOf(row)]
 		}
 	}
 	return out
 }
 
-// Proba returns normalized class distributions (classification trees only).
+// Proba returns normalized class distributions (classification trees
+// only). An unfitted tree returns all-zero rows.
 func (t *Tree) Proba(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))
 	for i, row := range X {
-		v := t.leafValue(row)
-		p := make([]float64, len(v))
+		p := make([]float64, t.classes)
+		out[i] = p
+		if len(t.nodes) == 0 {
+			continue
+		}
+		v := t.dist(row)
 		var sum float64
 		for _, x := range v {
 			sum += x
@@ -212,27 +287,8 @@ func (t *Tree) Proba(X [][]float64) [][]float64 {
 		for j, x := range v {
 			p[j] = x / sum
 		}
-		out[i] = p
 	}
 	return out
-}
-
-func (t *Tree) leafValue(row []float64) []float64 {
-	n := t.root
-	for n != nil && !n.isLeaf {
-		if n.feature < len(row) && row[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n == nil {
-		if t.classes > 0 {
-			return make([]float64, t.classes)
-		}
-		return []float64{0}
-	}
-	return n.value
 }
 
 func allRows(n int) []int {

@@ -423,6 +423,49 @@ evaluate metric=auto
 	})
 }
 
+// TestPredictCorruptTreeModel pins containment for corrupt tree dumps:
+// an artifact whose model would index out of range at inference gets
+// E_ARTIFACT_MODEL from Predict instead of a panic.
+func TestPredictCorruptTreeModel(t *testing.T) {
+	src := `pipeline "corrupt"
+impute "num" strategy=median
+target_encode "cat"
+train model=random_forest target="y" trees=4
+evaluate metric=auto
+`
+	tr, te := split(messyRegTable(300, 2), 5)
+	ex := &Executor{Target: "y", Task: data.Regression, Seed: 1}
+	_, fp := fitRoundTrip(t, ex, src, tr, te)
+	leaf := func(v ...float64) ml.FlatNode { return ml.FlatNode{Left: -1, Right: -1, Leaf: true, Value: v} }
+	split := func(f int) ml.FlatNode { return ml.FlatNode{Feature: f, Threshold: 0.5, Left: 1, Right: 2} }
+	one := func(nodes ...ml.FlatNode) [][]ml.FlatNode { return [][]ml.FlatNode{nodes} }
+	for name, m := range map[string]ml.FittedModel{
+		"forest leaf without values": {Kind: ml.KindForest, Trees: one(split(0), leaf(), leaf(1))},
+		"gbm leaf without values":    {Kind: ml.KindGBM, LearningRate: 0.1, Trees: one(split(0), leaf(1), leaf())},
+		"leaf with extra classes":    {Kind: ml.KindForest, Classes: 2, Trees: one(split(0), leaf(1, 2, 3), leaf(1, 2))},
+		"split on feature -1":        {Kind: ml.KindForest, Trees: one(split(-1), leaf(1), leaf(2))},
+		"forest negative classes":    {Kind: ml.KindForest, Classes: -1, Trees: one(leaf(1))},
+		"extra-trees negative class": {Kind: ml.KindExtraTrees, Classes: -1, Trees: one(leaf(1))},
+		"gbm negative classes":       {Kind: ml.KindGBM, Classes: -1, Trees: one(leaf(1))},
+	} {
+		bad := *fp
+		bad.Model, bad.model = &m, nil
+		var buf bytes.Buffer
+		if err := bad.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadFittedPipeline(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = back.Predict(te)
+		var ae *ArtifactError
+		if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+			t.Errorf("%s: err = %v, want artifact error %s", name, err, ErrArtifactModel)
+		}
+	}
+}
+
 func TestPredictRecordsMetrics(t *testing.T) {
 	src := `pipeline "obs"
 dedup_values "cat"
