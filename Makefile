@@ -24,11 +24,13 @@ race:
 	$(GO) test -race ./internal/bench/... ./internal/core/... ./internal/profile/... ./internal/data/... ./internal/ml/... ./internal/obs/... ./internal/pipescript/... ./internal/pool/...
 
 # Corrupt artifacts must end in an error, never a panic: fuzz the
-# tree-model loader and inference for a fixed time. A crasher lands in
-# internal/ml/testdata/fuzz/FuzzTreeModel/; commit it with the fix so
+# tree-model loader and inference for a fixed time. Column summaries must
+# match the map-based reference on any bit pattern. A crasher lands in
+# the package's testdata/fuzz/<target>/; commit it with the fix so
 # `make test` replays it.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s ./internal/ml/
+	$(GO) test -run='^$$' -fuzz='^FuzzSummary$$' -fuzztime=10s ./internal/data/
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.
@@ -123,24 +125,26 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
-# the baseline blocks in those files are preserved. The ml, obs,
-# predict, dag and shard lanes repeat every benchmark (-count=5):
-# benchjson folds the repeats into medians, records the ns/op range
-# beside them, and marks a speedup "(noise)" when the ranges overlap.
+# the baseline blocks in those files are preserved. Every lane but data
+# repeats each benchmark (-count=5): benchjson folds the repeats into
+# medians, records the ns/op range beside them, and marks a speedup
+# "(noise)" when the ranges overlap.
 #
 # Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
-# (lanes: data, ingest, dag — see internal/bench/baseline). The shard
-# lane is a single pass: its baseline block is the last capture with row
-# sharding, which benchjson preserves.
+# (lanes: data, ingest, dag — see internal/bench/baseline). The summary
+# and shard lanes are single passes: their baseline blocks are earlier
+# captures (the map-based summary; row sharding), which benchjson
+# preserves.
 bench:
-	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
+	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	$(GO) test -run='^$$' -bench=Predict -benchtime=300x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
-	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
-	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
+	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
+	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
+	$(GO) test -run='^$$' -bench=Summary -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_summary.json
 	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
 	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
 	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json

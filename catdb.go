@@ -79,22 +79,8 @@ func LoadDataset(name string, scale float64) (*Dataset, error) {
 func DatasetNames() []string { return data.Names() }
 
 // IngestOptions tunes CSV ingest: Workers bounds the chunk-parse fan-out
-// (0 = GOMAXPROCS, 1 = serial) and ChunkBytes the record-aligned chunk
-// size (0 = 4 MiB). Results are identical at any setting.
+// (0 = GOMAXPROCS, 1 = serial). Results are identical at any setting.
 type IngestOptions = data.IngestOptions
-
-// SummaryBackend selects how column statistics are computed:
-// exact (bit-identical full-fidelity path), sketch (mergeable one-pass
-// sketches, no sorted copies), or auto (sketch at scale).
-type SummaryBackend = data.SummaryBackend
-
-// ParseSummaryBackend parses a -summary-backend flag value
-// ("exact" | "sketch" | "auto").
-func ParseSummaryBackend(s string) (SummaryBackend, error) { return data.ParseSummaryBackend(s) }
-
-// SetDefaultSummaryBackend installs the process-wide statistics backend
-// used wherever no explicit backend is passed.
-func SetDefaultSummaryBackend(b SummaryBackend) { data.SetDefaultSummaryBackend(b) }
 
 // ReadCSV loads a single-table dataset from a CSV stream; target and task
 // describe the prediction problem.

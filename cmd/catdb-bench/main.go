@@ -40,8 +40,6 @@ func main() {
 	fast := flag.Bool("fast", false, "trimmed datasets and iterations")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	chunkBytes := flag.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
-	summaryBackend := flag.String("summary-backend", "", "column statistics backend: exact|sketch|auto (default exact)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
@@ -102,15 +100,9 @@ func main() {
 	if *progress {
 		progressW = os.Stderr
 	}
-	backend, err := data.ParseSummaryBackend(*summaryBackend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "catdb-bench:", err)
-		os.Exit(2)
-	}
-	data.SetDefaultSummaryBackend(backend)
 	cfg := bench.Config{
 		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Workers: *workers, Out: out,
-		Ingest: data.IngestOptions{Workers: *ingestWorkers, ChunkBytes: *chunkBytes},
+		Ingest: data.IngestOptions{Workers: *ingestWorkers},
 		Tracer: tracer, Metrics: metrics, Progress: progressW, Ledger: ledgerW,
 	}
 

@@ -95,8 +95,7 @@ func startOps(addr string, tracer *catdb.Tracer, metrics *catdb.Metrics) (func()
 type dsFlags struct {
 	dataset, csv, target, task *string
 	scale                      *float64
-	ingestWorkers, chunkBytes  *int
-	summaryBackend             *string
+	ingestWorkers              *int
 }
 
 // datasetFlags adds the shared dataset-selection flags.
@@ -108,17 +107,10 @@ func datasetFlags(fs *flag.FlagSet) *dsFlags {
 	f.task = fs.String("task", "binary", "task type with -csv: binary|multiclass|regression")
 	f.scale = fs.Float64("scale", 0.2, "row-count scale for built-in datasets")
 	f.ingestWorkers = fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	f.chunkBytes = fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB; output identical at any setting)")
-	f.summaryBackend = fs.String("summary-backend", "auto", "column statistics backend: exact|sketch|auto (auto sketches at scale)")
 	return f
 }
 
 func (f *dsFlags) load() (*catdb.Dataset, error) {
-	backend, err := catdb.ParseSummaryBackend(*f.summaryBackend)
-	if err != nil {
-		return nil, err
-	}
-	catdb.SetDefaultSummaryBackend(backend)
 	if *f.dataset != "" {
 		return catdb.LoadDataset(*f.dataset, *f.scale)
 	}
@@ -143,7 +135,7 @@ func (f *dsFlags) load() (*catdb.Dataset, error) {
 }
 
 func (f *dsFlags) ingest() catdb.IngestOptions {
-	return catdb.IngestOptions{Workers: *f.ingestWorkers, ChunkBytes: *f.chunkBytes}
+	return catdb.IngestOptions{Workers: *f.ingestWorkers}
 }
 
 func cmdDatasets() error {
@@ -460,7 +452,6 @@ func cmdPredict(args []string) error {
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
 	workers := fs.Int("workers", 0, "inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
 	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	chunkBytes := fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while scoring (/metrics, /debug/pprof; predictions are identical with or without it)")
 	if err := fs.Parse(args); err != nil {
@@ -498,7 +489,7 @@ func cmdPredict(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	tb, err := catdb.ReadTableCSVOptions(in, "batch", catdb.IngestOptions{Workers: *ingestWorkers, ChunkBytes: *chunkBytes})
+	tb, err := catdb.ReadTableCSVOptions(in, "batch", catdb.IngestOptions{Workers: *ingestWorkers})
 	if err != nil {
 		return err
 	}

@@ -48,8 +48,8 @@ type Config struct {
 	// corrupted/mutated variants never alias (see profile.Cache).
 	ProfileCache *profile.Cache
 	// Ingest tunes CSV ingest wherever experiments parse CSV (chunk-parse
-	// worker count and chunk size) and parameterizes the ingest-scaling
-	// experiment. Results never depend on it — only wall time does.
+	// worker count) and parameterizes the ingest-scaling experiment.
+	// Results never depend on it — only wall time does.
 	Ingest data.IngestOptions
 	// Out receives the rendered tables (defaults to io.Discard).
 	Out io.Writer

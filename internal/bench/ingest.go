@@ -11,16 +11,15 @@ import (
 )
 
 // IngestRow is one table size's ingest + summary measurement: cold CSV
-// parse serial vs chunked-parallel, and summary build exact vs sketch.
+// parse serial vs chunked-parallel, and a cold summary build.
 type IngestRow struct {
-	Rows          int
-	Cols          int
-	Bytes         int
-	Serial        time.Duration
-	Parallel      time.Duration
-	Workers       int
-	ExactSummary  time.Duration
-	SketchSummary time.Duration
+	Rows     int
+	Cols     int
+	Bytes    int
+	Serial   time.Duration
+	Parallel time.Duration
+	Workers  int
+	Summary  time.Duration
 }
 
 // IngestResult holds the ingest-scaling measurements.
@@ -54,9 +53,8 @@ func syntheticIngestCSV(rows int, seed int64) []byte {
 
 // RunIngestScaling measures cold CSV ingest (streaming serial vs
 // chunked-parallel at Config.Ingest.Workers) and column-summary builds
-// (exact sorted-copy vs mergeable sketches) over synthetic mixed-kind
-// tables. Cells run serially — this experiment times wall clock, so
-// concurrent cells would contaminate each other.
+// over synthetic mixed-kind tables. Cells run serially — this experiment
+// times wall clock, so concurrent cells would contaminate each other.
 func RunIngestScaling(cfg Config) (*IngestResult, error) {
 	cfg = cfg.withDefaults()
 	workers := cfg.Ingest.Workers
@@ -70,7 +68,7 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 
 		start := time.Now()
 		serialT, err := data.ReadCSVOptions(bytes.NewReader(raw), "ingest-serial",
-			data.IngestOptions{Workers: 1, ChunkBytes: cfg.Ingest.ChunkBytes})
+			data.IngestOptions{Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("bench: ingest serial: %w", err)
 		}
@@ -78,7 +76,7 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 
 		start = time.Now()
 		t, err := data.ReadCSVOptions(bytes.NewReader(raw), "ingest-parallel",
-			data.IngestOptions{Workers: workers, ChunkBytes: cfg.Ingest.ChunkBytes})
+			data.IngestOptions{Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("bench: ingest parallel: %w", err)
 		}
@@ -88,27 +86,21 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 
 		start = time.Now()
 		for _, c := range t.Cols {
-			c.SummaryWith(data.SummaryExact)
+			c.Summary()
 		}
-		row.ExactSummary = time.Since(start)
-
-		start = time.Now()
-		for _, c := range t.Cols {
-			c.SummaryWith(data.SummarySketch)
-		}
-		row.SketchSummary = time.Since(start)
+		row.Summary = time.Since(start)
 
 		res.Rows = append(res.Rows, row)
 	}
 
-	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", workers), "ExactSum[ms]", "SketchSum[ms]"}}
+	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", workers), "Summary[ms]"}}
 	for _, r := range res.Rows {
 		tb.add(fmt.Sprint(r.Rows), fmt.Sprint(r.Cols),
 			fmt.Sprintf("%.1f", float64(r.Bytes)/(1<<20)),
 			millis(r.Serial), millis(r.Parallel),
-			millis(r.ExactSummary), millis(r.SketchSummary))
+			millis(r.Summary))
 	}
-	tb.render(cfg.Out, "Ingest scaling: chunked CSV parse and summary backends")
+	tb.render(cfg.Out, "Ingest scaling: chunked CSV parse and column summaries")
 	return res, nil
 }
 

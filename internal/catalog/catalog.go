@@ -181,10 +181,10 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 		if col.Kind != data.KindString {
 			continue
 		}
-		distinct := col.Distinct()
-		if len(distinct) < 2 || len(distinct) > opts.MaxDedupDistinct {
+		if n := col.DistinctCount(); n < 2 || n > opts.MaxDedupDistinct {
 			continue
 		}
+		distinct := col.Distinct()
 		mapping := map[string]string{}
 		for lo := 0; lo < len(distinct); lo += opts.DedupBatch {
 			hi := lo + opts.DedupBatch

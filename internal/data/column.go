@@ -98,9 +98,8 @@ type Column struct {
 	store *colStore
 	rows  []int // view row mapping into store; nil = identity over the full store
 
-	version     atomic.Uint64                // bumped by every mutating accessor
-	cache       atomic.Pointer[summaryEntry] // last computed exact Summary, if current
-	cacheSketch atomic.Pointer[summaryEntry] // last computed sketch Summary, if current
+	version atomic.Uint64                // bumped by every mutating accessor
+	cache   atomic.Pointer[summaryEntry] // last computed Summary, if current
 }
 
 // NewNumeric returns a float column over vals with no missing cells; it
@@ -291,18 +290,26 @@ func (c *Column) ValueString(i int) string {
 	if c.IsMissing(i) {
 		return ""
 	}
-	switch c.Kind {
-	case KindString:
+	if c.Kind == KindString {
 		return c.Str(i)
+	}
+	return formatNum(c.Kind, c.Num(i))
+}
+
+// formatNum renders a numeric cell of kind k: ints as their truncated
+// int64, bools as "true" for any non-zero value, everything else in the
+// shortest 'g' form. Summary counts distinct values by the same rules.
+func formatNum(k Kind, v float64) string {
+	switch k {
 	case KindInt:
-		return strconv.FormatInt(int64(c.Num(i)), 10)
+		return strconv.FormatInt(int64(v), 10)
 	case KindBool:
-		if c.Num(i) != 0 {
+		if v != 0 {
 			return "true"
 		}
 		return "false"
 	default:
-		return strconv.FormatFloat(c.Num(i), 'g', -1, 64)
+		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 }
 
@@ -361,7 +368,7 @@ func (c *Column) AppendStrs(vals ...string) {
 // Distinct returns the distinct non-missing values rendered as strings,
 // sorted ascending for determinism. The slice is the memoized Summary's —
 // shared across callers and must not be modified.
-func (c *Column) Distinct() []string { return c.Summary().Distinct }
+func (c *Column) Distinct() []string { return c.Summary().Distinct() }
 
 // DistinctCount returns the number of distinct non-missing values.
 func (c *Column) DistinctCount() int { return c.Summary().DistinctCount() }

@@ -53,13 +53,13 @@ func ReadCSV(r io.Reader, name string) (*Table, error) {
 // slurped once, split into record-aligned byte chunks, and parsed
 // concurrently straight into preallocated typed columns; any input the
 // chunked path cannot handle re-parses through the legacy serial reader,
-// so results and errors never depend on Workers or ChunkBytes.
+// so results and errors never depend on Workers.
 func ReadCSVOptions(r io.Reader, name string, opts IngestOptions) (*Table, error) {
 	buf, err := slurp(r)
 	if err != nil {
 		return nil, fmt.Errorf("data: read csv %q: %w", name, err)
 	}
-	return parseCSVBytes(buf, name, opts)
+	return parseCSVChunkSize(buf, name, opts.Workers, defaultChunkBytes)
 }
 
 // slurp reads r to EOF. When the reader knows its remaining size
@@ -127,5 +127,5 @@ func ReadCSVFileOptions(path string, opts IngestOptions) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("data: %w", err)
 	}
-	return parseCSVBytes(buf, path, opts)
+	return parseCSVChunkSize(buf, path, opts.Workers, defaultChunkBytes)
 }

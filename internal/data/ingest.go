@@ -12,23 +12,21 @@ import (
 )
 
 // IngestOptions tunes the chunked CSV reader. The zero value is the
-// recommended configuration: parallel parse over GOMAXPROCS workers with
-// 4 MiB chunks.
+// recommended configuration: parallel parse over GOMAXPROCS workers.
 type IngestOptions struct {
 	// Workers bounds the chunk-parse fan-out: 0 means GOMAXPROCS, 1 forces
 	// the serial streaming path (same chunking, one goroutine) — the
 	// pool-wide convention.
 	Workers int
-	// ChunkBytes is the target chunk size in bytes; chunks are extended to
-	// the next record boundary so no record straddles two chunks. 0 means
-	// defaultChunkBytes. Output is identical at any chunk size.
-	ChunkBytes int
 }
 
 const (
-	// defaultChunkBytes balances scheduling overhead against parse
-	// locality; at 4 MiB a 1M-row table yields enough chunks to keep a
-	// many-core box busy without flooding the pool.
+	// defaultChunkBytes is the target chunk size; chunks are extended to
+	// the next record boundary so no record straddles two chunks. 4 MiB
+	// balances scheduling overhead against parse locality: a 1M-row table
+	// yields enough chunks to keep a many-core box busy without flooding
+	// the pool. Output is identical at any chunk size (the ingest tests
+	// sweep it through parseCSVChunkSize).
 	defaultChunkBytes = 4 << 20
 	// sniffRecords is how many leading records the mode sniffer inspects
 	// to pick per-column storage (numeric slab vs string slab) before the
@@ -406,12 +404,13 @@ func (j *ingestJob) rereadColumns(workers int, cols []int, rows int) ([][]string
 	return raws, err
 }
 
-// parseCSVBytes is the chunked ingest entry point: it parses buf under
-// opts and, on any chunked-path failure (csv syntax error, scanner
-// disagreement, shape mismatch), re-parses through the legacy serial
-// reader so errors and edge-case behaviour match it exactly.
-func parseCSVBytes(buf []byte, name string, opts IngestOptions) (*Table, error) {
-	t, err := parseCSVChunked(buf, name, opts)
+// parseCSVChunkSize is the chunked ingest entry point (the readers pass
+// defaultChunkBytes): it parses buf in chunks of about chunkBytes and,
+// on any chunked-path failure (csv syntax error, scanner disagreement,
+// shape mismatch), re-parses through the legacy serial reader so errors
+// and edge-case behaviour match it exactly.
+func parseCSVChunkSize(buf []byte, name string, workers, chunkBytes int) (*Table, error) {
+	t, err := parseCSVChunked(buf, name, workers, chunkBytes)
 	if err != nil {
 		return readCSVLegacy(bytes.NewReader(buf), name)
 	}
@@ -419,15 +418,11 @@ func parseCSVBytes(buf []byte, name string, opts IngestOptions) (*Table, error) 
 }
 
 // parseCSVChunked performs the scan → sniff → parallel parse → merge
-// pipeline. The output is deterministic in Workers and ChunkBytes by
+// pipeline. The output is deterministic in workers and chunkBytes by
 // construction: chunk boundaries depend only on the bytes and chunk
 // size, every chunk writes a disjoint row range, and flag merging is
 // order-independent.
-func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error) {
-	chunkBytes := opts.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = defaultChunkBytes
-	}
+func parseCSVChunked(buf []byte, name string, workers, chunkBytes int) (*Table, error) {
 	headerSpan, spans, rows := scanCSVChunks(buf, chunkBytes)
 	if headerSpan.records == 0 {
 		return nil, errIngestShape // empty input; legacy reader owns the message
@@ -442,7 +437,7 @@ func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error
 
 	modes := sniffModes(buf, ncols, spans)
 	job := newIngestJob(buf, ncols, modes, spans, rows)
-	if err := pool.Each(opts.Workers, len(spans), job.parseChunk); err != nil {
+	if err := pool.Each(workers, len(spans), job.parseChunk); err != nil {
 		return nil, err
 	}
 
@@ -472,7 +467,7 @@ func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error
 
 	var raws [][]string
 	if len(reread) > 0 {
-		raws, err = job.rereadColumns(opts.Workers, reread, rows)
+		raws, err = job.rereadColumns(workers, reread, rows)
 		if err != nil {
 			return nil, err
 		}

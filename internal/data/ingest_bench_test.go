@@ -10,13 +10,16 @@ import (
 )
 
 // The Ingest* benchmarks measure cold CSV parse (serial and
-// chunked-parallel) and cold summary builds (exact vs sketch) on
-// synthetic mixed-kind tables. With BENCH_BASELINE=ingest the parse
-// benchmarks run the old ReadAll-based reader (readCSVLegacy) so the
-// committed BENCH_ingest.json baseline can be re-captured:
+// chunked-parallel) on synthetic mixed-kind tables. With
+// BENCH_BASELINE=ingest they run the old ReadAll-based reader
+// (readCSVLegacy) so the committed BENCH_ingest.json baseline can be
+// re-captured:
 //
 //	BENCH_BASELINE=ingest go test -bench=Ingest ... | benchjson -set-baseline
 //	go test -bench=Ingest ...                       | benchjson
+//
+// The Summary* benchmarks time cold summary builds over the same tables;
+// no lane switches them, so they run in a single pass (BENCH_summary.json).
 const (
 	ingestBenchSmall = 100_000
 	ingestBenchLarge = 1_000_000
@@ -74,10 +77,10 @@ func BenchmarkIngestSerial1M(b *testing.B)     { benchIngestParse(b, ingestBench
 func BenchmarkIngestParallel100k(b *testing.B) { benchIngestParse(b, ingestBenchSmall, 0) }
 func BenchmarkIngestParallel1M(b *testing.B)   { benchIngestParse(b, ingestBenchLarge, 0) }
 
-// benchIngestSummary times a cold summary build over every column of the
-// parsed table. It calls the compute functions directly (not SummaryWith)
-// so the per-column memo cache never hides the work being measured.
-func benchIngestSummary(b *testing.B, rows int, backend SummaryBackend) {
+// benchSummary times a cold summary build over every column of the
+// parsed table. It calls computeSummary directly (not Summary) so the
+// per-column memo cache never hides the work being measured.
+func benchSummary(b *testing.B, rows int) {
 	t, err := ReadCSVOptions(bytes.NewReader(ingestBenchCSV(rows)), "bench", IngestOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -85,24 +88,10 @@ func benchIngestSummary(b *testing.B, rows int, backend SummaryBackend) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range t.Cols {
-			if backend == SummarySketch {
-				_ = c.computeSummarySketch()
-			} else {
-				_ = c.computeSummary()
-			}
+			_ = c.computeSummary()
 		}
 	}
 }
 
-func BenchmarkIngestSummaryExact100k(b *testing.B) {
-	benchIngestSummary(b, ingestBenchSmall, SummaryExact)
-}
-func BenchmarkIngestSummaryExact1M(b *testing.B) {
-	benchIngestSummary(b, ingestBenchLarge, SummaryExact)
-}
-func BenchmarkIngestSummarySketch100k(b *testing.B) {
-	benchIngestSummary(b, ingestBenchSmall, SummarySketch)
-}
-func BenchmarkIngestSummarySketch1M(b *testing.B) {
-	benchIngestSummary(b, ingestBenchLarge, SummarySketch)
-}
+func BenchmarkSummary100k(b *testing.B) { benchSummary(b, ingestBenchSmall) }
+func BenchmarkSummary1M(b *testing.B)   { benchSummary(b, ingestBenchLarge) }

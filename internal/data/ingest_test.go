@@ -10,17 +10,21 @@ import (
 	"testing/quick"
 )
 
-// ingestGrid is the worker × chunk-size matrix the equivalence tests sweep.
-// ChunkBytes 1 forces a chunk per record — the maximum-fragmentation stress
-// case — while 1<<20 usually keeps the whole input in one chunk.
-var ingestGrid = []IngestOptions{
-	{Workers: 1, ChunkBytes: 1},
-	{Workers: 1, ChunkBytes: 64},
-	{Workers: 2, ChunkBytes: 1},
-	{Workers: 4, ChunkBytes: 7},
-	{Workers: 4, ChunkBytes: 256},
-	{Workers: 8, ChunkBytes: 1 << 20},
-	{Workers: 0, ChunkBytes: 0},
+// ingestPoint is one worker count and chunk size of the ingest grid.
+type ingestPoint struct{ workers, chunkBytes int }
+
+// ingestGrid is the worker × chunk-size matrix the equivalence tests sweep
+// through parseCSVChunkSize. Chunk size 1 forces a chunk per record — the
+// maximum-fragmentation stress case — while 1<<20 usually keeps the whole
+// input in one chunk. The last point is what ReadCSV runs.
+var ingestGrid = []ingestPoint{
+	{workers: 1, chunkBytes: 1},
+	{workers: 1, chunkBytes: 64},
+	{workers: 2, chunkBytes: 1},
+	{workers: 4, chunkBytes: 7},
+	{workers: 4, chunkBytes: 256},
+	{workers: 8, chunkBytes: 1 << 20},
+	{workers: 0, chunkBytes: defaultChunkBytes},
 }
 
 // requireTablesEqual compares two tables cell-by-cell through the public
@@ -62,9 +66,9 @@ func requireTablesEqual(t *testing.T, want, got *Table, label string) {
 func requireIngestMatchesLegacy(t *testing.T, input, label string) {
 	t.Helper()
 	want, wantErr := readCSVLegacy(strings.NewReader(input), "x")
-	for _, opts := range ingestGrid {
-		tag := fmt.Sprintf("%s w=%d cb=%d", label, opts.Workers, opts.ChunkBytes)
-		got, err := ReadCSVOptions(strings.NewReader(input), "x", opts)
+	for _, g := range ingestGrid {
+		tag := fmt.Sprintf("%s w=%d cb=%d", label, g.workers, g.chunkBytes)
+		got, err := parseCSVChunkSize([]byte(input), "x", g.workers, g.chunkBytes)
 		if wantErr != nil {
 			if err == nil {
 				t.Fatalf("%s: chunked succeeded, legacy error: %v", tag, wantErr)
@@ -132,8 +136,8 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 	if err := WriteCSV(&wantCSV, want); err != nil {
 		t.Fatalf("%s: rewrite legacy: %v", label, err)
 	}
-	for _, opts := range ingestGrid {
-		got, err := ReadCSVOptions(strings.NewReader(input), "x", opts)
+	for _, g := range ingestGrid {
+		got, err := parseCSVChunkSize([]byte(input), "x", g.workers, g.chunkBytes)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -142,7 +146,7 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 			t.Fatalf("%s: rewrite chunked: %v", label, err)
 		}
 		if !bytes.Equal(wantCSV.Bytes(), gotCSV.Bytes()) {
-			t.Fatalf("%s w=%d cb=%d: re-rendered CSV differs", label, opts.Workers, opts.ChunkBytes)
+			t.Fatalf("%s w=%d cb=%d: re-rendered CSV differs", label, g.workers, g.chunkBytes)
 		}
 	}
 }
@@ -253,7 +257,7 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		for _, cb := range []int{1, 3 + rng.Intn(100), 1 << 16} {
-			got, err := ReadCSVOptions(strings.NewReader(input), "x", IngestOptions{Workers: 1 + rng.Intn(4), ChunkBytes: cb})
+			got, err := parseCSVChunkSize([]byte(input), "x", 1+rng.Intn(4), cb)
 			if err != nil {
 				return false
 			}
@@ -307,7 +311,7 @@ func TestIngestEmptyInputMessage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message", err)
 	}
-	_, err = ReadCSVOptions(strings.NewReader("\n\n\n"), "x", IngestOptions{Workers: 4, ChunkBytes: 1})
+	_, err = parseCSVChunkSize([]byte("\n\n\n"), "x", 4, 1)
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message for blank-lines input", err)
 	}

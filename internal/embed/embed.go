@@ -113,12 +113,13 @@ func InclusionScore(a, b *data.Column) float64 {
 }
 
 // InclusionFromSummaries is InclusionScore over precomputed summaries; the
-// profiler's O(m²) inclusion loop uses it directly.
+// profiler's O(m²) inclusion loop uses it directly. A column with no
+// values scores 0 without rendering any distinct strings.
 func InclusionFromSummaries(sa, sb *data.Summary) float64 {
-	da := sa.Distinct
-	if len(da) == 0 {
+	if sa.DistinctCount() == 0 {
 		return 0
 	}
+	da := sa.Distinct()
 	hit := 0
 	for _, v := range da {
 		if sb.Contains(v) {

@@ -113,7 +113,8 @@ func (e *Executor) execWinsorize(st Stmt, ctx *execCtx) error {
 	}
 	lowQ, err1 := strconv.ParseFloat(st.Opt("lower", "0.01"), 64)
 	hiQ, err2 := strconv.ParseFloat(st.Opt("upper", "0.99"), 64)
-	if err1 != nil || err2 != nil || lowQ < 0 || hiQ > 1 || lowQ >= hiQ {
+	// Written so that NaN bounds, which fail every comparison, are rejected.
+	if err1 != nil || err2 != nil || !(lowQ >= 0 && hiQ <= 1 && lowQ < hiQ) {
 		return rtErr(st.Line, ErrBadOption, "bad winsorize bounds")
 	}
 	lo, hi := c.Quantile(lowQ), c.Quantile(hiQ)

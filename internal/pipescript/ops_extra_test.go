@@ -138,10 +138,13 @@ func TestWinsorize(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-	_, err = runExtra(t, "pipeline \"x\"\nwinsorize \"a\" lower=0.9 upper=0.1\ntrain model=knn target=\"y\"\n", data.Regression)
-	var re *RuntimeError
-	if !errors.As(err, &re) || re.Code != ErrBadOption {
-		t.Fatalf("want E_BAD_OPTION, got %v", err)
+	// Inverted and NaN bounds are bad options, not a quantile-index panic.
+	for _, bounds := range []string{"lower=0.9 upper=0.1", "lower=NaN", "upper=nan"} {
+		_, err = runExtra(t, "pipeline \"x\"\nwinsorize \"a\" "+bounds+"\ntrain model=knn target=\"y\"\n", data.Regression)
+		var re *RuntimeError
+		if !errors.As(err, &re) || re.Code != ErrBadOption {
+			t.Fatalf("%s: want E_BAD_OPTION, got %v", bounds, err)
+		}
 	}
 }
 

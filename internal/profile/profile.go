@@ -136,12 +136,6 @@ type Options struct {
 	Seed int64
 	// Workers bounds the per-column fan-out (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// SummaryBackend selects how column statistics are computed
-	// (exact | sketch | auto, data.ParseSummaryBackend). The sketch
-	// backend answers quantiles from a mergeable fixed-size sketch and
-	// never materializes per-column sorted copies — the paper-scale
-	// profiling path. Zero value defers to the process default (exact).
-	SummaryBackend data.SummaryBackend
 }
 
 func (o Options) withDefaults() Options {
@@ -187,8 +181,8 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	sums := make([]*data.Summary, m)
 	workSums := make([]*data.Summary, m)
 	if err := pool.Each(opts.Workers, m, func(i int) error {
-		sums[i] = t.Cols[i].SummaryWith(opts.SummaryBackend)
-		workSums[i] = work.Cols[i].SummaryWith(opts.SummaryBackend)
+		sums[i] = t.Cols[i].Summary()
+		workSums[i] = work.Cols[i].Summary()
 		vecs[i] = embed.Column(work.Cols[i])
 		return nil
 	}); err != nil {
@@ -199,11 +193,8 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	cols, err := pool.Map(opts.Workers, m, func(ci int) (*ColumnProfile, error) {
 		c := t.Cols[ci]
 		sum := sums[ci]
-		// All ratio/count fields come from the warmed backend summary, not
-		// the Column convenience methods: those recompute a default-backend
-		// (exact) summary, which would defeat the sketch path's point of
-		// never building sorted copies. Same float expressions, so the
-		// exact backend stays bit-identical.
+		// All ratio/count fields come from the warmed summary (the same
+		// float expressions as the Column convenience methods).
 		cp := &ColumnProfile{
 			Name:            c.Name,
 			DataType:        c.Kind,
@@ -220,7 +211,7 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 		colRng := rand.New(rand.NewSource(pool.DeriveSeed(opts.Seed, ci, c.Name)))
 		cp.Samples = sampleValues(c, opts.Samples, colRng)
 		if cp.FeatureType == FeatureCategorical || cp.FeatureType == FeatureBoolean {
-			cp.DistinctValues = sum.Distinct
+			cp.DistinctValues = sum.Distinct()
 		}
 		// Pairwise metadata from the working sample (Alg. 1 lines 7-9).
 		wc := work.Cols[ci]
@@ -288,8 +279,7 @@ func Dataset(ds *data.Dataset, opts Options) (*Profile, error) {
 
 // distinctRatio and missingRatio mirror Column.DistinctRatio and
 // Column.MissingRatio over an already-computed summary (same expressions,
-// so results are bit-identical under the exact backend) without forcing a
-// default-backend summary build.
+// so results are bit-identical).
 func distinctRatio(s *data.Summary) float64 {
 	n := s.Present()
 	if n == 0 {
@@ -311,7 +301,7 @@ func isDiscrete(s *data.Summary, opts Options) bool {
 
 // guessFeatureType is the profiler's pre-LLM heuristic (the catalog's LLM
 // pass can overturn it, e.g. sentence → categorical). It reads all counts
-// from the provided backend summary.
+// from the provided summary.
 func guessFeatureType(c *data.Column, sum *data.Summary, opts Options) FeatureType {
 	if sum.DistinctCount() == 1 && sum.Present() > 0 {
 		return FeatureConstant
