@@ -27,10 +27,12 @@ race:
 # tree-model loader and inference for a fixed time. Column summaries must
 # match the map-based reference on any bit pattern. A crasher lands in
 # the package's testdata/fuzz/<target>/; commit it with the fix so
-# `make test` replays it.
+# `make test` replays it. -fuzzminimizetime=0x spends the time on new
+# inputs instead of shrinking each interesting one, so a crasher is
+# written as found, not minimized.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s ./internal/ml/
-	$(GO) test -run='^$$' -fuzz='^FuzzSummary$$' -fuzztime=10s ./internal/data/
+	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/ml/
+	$(GO) test -run='^$$' -fuzz='^FuzzSummary$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/data/
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.

@@ -41,30 +41,18 @@ type AutoMLOptions struct {
 // candidate is one (model, hyper-parameter) configuration in a portfolio.
 type candidate struct {
 	name string
-	clf  func(seed int64) interface {
-		FitClass(X [][]float64, y []int, classes int) error
-		Proba(X [][]float64) [][]float64
-	}
-	reg func(seed int64) interface {
-		Fit(X [][]float64, y []float64) error
-		Predict(X [][]float64) []float64
-	}
+	clf  func(seed int64) ml.Classifier
+	reg  func(seed int64) ml.Regressor
 }
 
 func portfolio(tool AutoMLTool, workers int) []candidate {
 	rf := func(trees, depth int) candidate {
 		return candidate{
 			name: fmt.Sprintf("rf%d", trees),
-			clf: func(seed int64) interface {
-				FitClass(X [][]float64, y []int, classes int) error
-				Proba(X [][]float64) [][]float64
-			} {
+			clf: func(seed int64) ml.Classifier {
 				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed, Workers: workers})
 			},
-			reg: func(seed int64) interface {
-				Fit(X [][]float64, y []float64) error
-				Predict(X [][]float64) []float64
-			} {
+			reg: func(seed int64) ml.Regressor {
 				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed, Workers: workers})
 			},
 		}
@@ -72,49 +60,31 @@ func portfolio(tool AutoMLTool, workers int) []candidate {
 	gbm := func(rounds int) candidate {
 		return candidate{
 			name: fmt.Sprintf("gbm%d", rounds),
-			clf: func(seed int64) interface {
-				FitClass(X [][]float64, y []int, classes int) error
-				Proba(X [][]float64) [][]float64
-			} {
+			clf: func(seed int64) ml.Classifier {
 				// One-vs-rest boosting costs rounds×classes tree fits;
 				// budgeted tools cap the product.
 				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed, MaxDepth: 4, Workers: workers})
 			},
-			reg: func(seed int64) interface {
-				Fit(X [][]float64, y []float64) error
-				Predict(X [][]float64) []float64
-			} {
+			reg: func(seed int64) ml.Regressor {
 				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed, Workers: workers})
 			},
 		}
 	}
 	tree := candidate{
 		name: "tree",
-		clf: func(seed int64) interface {
-			FitClass(X [][]float64, y []int, classes int) error
-			Proba(X [][]float64) [][]float64
-		} {
+		clf: func(seed int64) ml.Classifier {
 			return ml.NewTree(ml.TreeConfig{Seed: seed})
 		},
-		reg: func(seed int64) interface {
-			Fit(X [][]float64, y []float64) error
-			Predict(X [][]float64) []float64
-		} {
+		reg: func(seed int64) ml.Regressor {
 			return ml.NewTree(ml.TreeConfig{Seed: seed})
 		},
 	}
 	knn := candidate{
 		name: "knn",
-		clf: func(seed int64) interface {
-			FitClass(X [][]float64, y []int, classes int) error
-			Proba(X [][]float64) [][]float64
-		} {
+		clf: func(seed int64) ml.Classifier {
 			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000, Workers: workers})
 		},
-		reg: func(seed int64) interface {
-			Fit(X [][]float64, y []float64) error
-			Predict(X [][]float64) []float64
-		} {
+		reg: func(seed int64) ml.Regressor {
 			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000, Workers: workers})
 		},
 	}

@@ -1,7 +1,10 @@
 package data
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -106,6 +109,65 @@ func (t *Table) Clone() *Table {
 		out.Cols[i] = c.Clone()
 	}
 	return out
+}
+
+// hashSeed keys ContentHash for the life of the process.
+var hashSeed = maphash.MakeSeed()
+
+// hashChunk is how many bytes ContentHash batches before each write to
+// the hash.
+const hashChunk = 4096
+
+// ContentHash returns a hash of the table's name and, per column, its
+// name, kind and visible cells, read in one pass over each column's
+// storage (through the row mapping of a view). Within one process equal
+// visible content gives equal hashes; the seed is per process, so a hash
+// must not be stored. A missing cell contributes only its flag, never
+// its stored slot. Content-keyed caches key on it.
+func (t *Table) ContentHash() uint64 {
+	var h maphash.Hash
+	h.SetSeed(hashSeed)
+	b := appendHashString(make([]byte, 0, 2*hashChunk), t.Name)
+	for _, c := range t.Cols {
+		b = c.appendCells(&h, b)
+	}
+	h.Write(b)
+	return h.Sum64()
+}
+
+// appendCells appends the column's name, kind and length to b, then per
+// cell a missing flag and, for a present cell, its value bits or its
+// string, writing b to h whenever it reaches hashChunk bytes.
+func (c *Column) appendCells(h *maphash.Hash, b []byte) []byte {
+	b = appendHashString(b, c.Name)
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.Kind))
+	n := c.Len()
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	if n == 0 {
+		return b
+	}
+	mask, nums, strs := c.store.missing, c.store.nums, c.store.strs
+	for i := 0; i < n; i++ {
+		if len(b) >= hashChunk {
+			h.Write(b)
+			b = b[:0]
+		}
+		j := c.at(i)
+		switch {
+		case j < len(mask) && mask[j]:
+			b = append(b, 1)
+		case c.Kind == KindString:
+			b = appendHashString(append(b, 0), strs[j])
+		default:
+			b = binary.LittleEndian.AppendUint64(append(b, 0), math.Float64bits(nums[j]))
+		}
+	}
+	return b
+}
+
+// appendHashString appends s's length, then its bytes.
+func appendHashString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
 }
 
 // SelectRows returns a table containing only the given row indexes. The

@@ -192,3 +192,50 @@ func TestTableCloneDeep(t *testing.T) {
 		t.Fatal("clone mutation leaked into the original")
 	}
 }
+
+// TestContentHash pins the meaning of the profile-cache key: equal
+// visible content hashes equal whatever the storage layout (dense, view,
+// clone), a missing cell's stored slot is not content, and any visible
+// difference changes the hash.
+func TestContentHash(t *testing.T) {
+	mk := func(x []float64, s []string) *Table {
+		tab := NewTable("t")
+		tab.MustAddColumn(NewNumeric("x", x))
+		tab.MustAddColumn(NewString("s", s))
+		tab.Col("x").SetMissing(len(x) - 2)
+		tab.Col("s").SetMissing(len(s) - 2)
+		return tab
+	}
+	base := func() *Table { return mk([]float64{1, 2, 3, 4}, []string{"a", "b", "c", "d"}) }
+	want := base().ContentHash()
+	wide := mk([]float64{9, 1, 2, 3, 4}, []string{"z", "a", "b", "c", "d"})
+	slot := base()
+	slot.Col("x").store.nums[2] = 42
+	slot.Col("s").store.strs[2] = "zzz"
+	for name, tab := range map[string]*Table{
+		"rebuilt":        base(),
+		"clone":          base().Clone(),
+		"view":           wide.SelectRows([]int{1, 2, 3, 4}),
+		"missing's slot": slot,
+	} {
+		if got := tab.ContentHash(); got != want {
+			t.Errorf("%s: hash %x, want %x", name, got, want)
+		}
+	}
+	for name, edit := range map[string]func(*Table){
+		"value":      func(t *Table) { t.Col("x").SetNum(0, 5) },
+		"present":    func(t *Table) { t.Col("x").ClearMissing(2) },
+		"string":     func(t *Table) { t.Col("s").SetStr(0, "ab") },
+		"string cut": func(t *Table) { t.Col("s").SetStr(0, "ab"); t.Col("s").SetStr(1, "") },
+		"col name":   func(t *Table) { t.Col("x").Name = "y" },
+		"kind":       func(t *Table) { t.Col("x").Kind = KindInt },
+		"table name": func(t *Table) { t.Name = "u" },
+		"columns":    func(t *Table) { t.Cols = []*Column{t.Col("x")} },
+	} {
+		tab := base()
+		edit(tab)
+		if tab.ContentHash() == want {
+			t.Errorf("%s: edit left the hash unchanged", name)
+		}
+	}
+}

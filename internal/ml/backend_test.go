@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -37,26 +38,25 @@ func gridData(n int, seed int64) ([][]float64, []int, []float64) {
 	return X, yc, yr
 }
 
-// TestHistMatchesExactClassification pins the two backends against each
+// TestHistMatchesExactClassification pins the two sweeps against each
 // other: on losslessly-binnable data with all candidate thresholds
 // enabled, histogram split finding must reproduce the exact tree's
 // training-set behaviour bit for bit (same candidates, same integer
 // count arithmetic, same tie order).
 func TestHistMatchesExactClassification(t *testing.T) {
 	X, yc, _ := gridData(240, 3)
-	mk := func(backend Backend) *Tree {
-		return NewTree(TreeConfig{
+	yf := labelFloats(yc)
+	mk := func(bm *binnedMatrix) *Tree {
+		tr := NewTree(TreeConfig{
 			MaxDepth: 6, MinLeaf: 2, MaxThresholds: 10000,
-			Seed: 11, Backend: backend, ExactNodeSize: 2,
+			Seed: 11, exactBelow: 2,
 		})
+		if err := tr.fitRows(bm, X, yf, classCodes(yf, 3), 3, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	exact, hist := mk(BackendExact), mk(BackendHist)
-	if err := exact.FitClass(X, yc, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := hist.FitClass(X, yc, 3); err != nil {
-		t.Fatal(err)
-	}
+	exact, hist := mk(nil), mk(newBinnedMatrix(X))
 	pe, ph := exact.Proba(X), hist.Proba(X)
 	for i := range pe {
 		for j := range pe[i] {
@@ -72,26 +72,24 @@ func TestHistMatchesExactClassification(t *testing.T) {
 // with near-identical values.
 func TestHistMatchesExactRegression(t *testing.T) {
 	X, _, yr := gridData(240, 4)
-	mk := func(backend Backend) *Tree {
-		return NewTree(TreeConfig{
+	mk := func(bm *binnedMatrix) *Tree {
+		tr := NewTree(TreeConfig{
 			MaxDepth: 6, MinLeaf: 2, MaxThresholds: 10000,
-			Seed: 11, Backend: backend, ExactNodeSize: 2,
+			Seed: 11, exactBelow: 2,
 		})
+		if err := tr.fitRows(bm, X, yr, nil, 0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	exact, hist := mk(BackendExact), mk(BackendHist)
-	if err := exact.Fit(X, yr); err != nil {
-		t.Fatal(err)
-	}
-	if err := hist.Fit(X, yr); err != nil {
-		t.Fatal(err)
-	}
+	exact, hist := mk(nil), mk(newBinnedMatrix(X))
 	pe, ph := exact.Predict(X), hist.Predict(X)
 	var se, sh float64
 	for i := range pe {
 		se += (pe[i] - yr[i]) * (pe[i] - yr[i])
 		sh += (ph[i] - yr[i]) * (ph[i] - yr[i])
 	}
-	// Both backends must fit the training set essentially equally well.
+	// Both sweeps must fit the training set essentially equally well.
 	if math.Abs(se-sh) > 0.01*(1+se) {
 		t.Fatalf("train SSE diverged: exact %g hist %g", se, sh)
 	}
@@ -104,9 +102,9 @@ func TestHistCloseToExactSynthetic(t *testing.T) {
 	X, y := synthClass(2000, 3, 0.8, 31)
 	Xte, yte := synthClass(600, 3, 0.8, 131)
 	var auc [2]float64
-	for i, backend := range []Backend{BackendExact, BackendHist} {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 5, Backend: backend})
-		if err := f.FitClass(X, y, 3); err != nil {
+	for i, bm := range []*binnedMatrix{nil, newBinnedMatrix(X)} {
+		f := NewForest(ForestConfig{Trees: 15, Seed: 5})
+		if err := f.fit(bm, X, labelFloats(y), 3); err != nil {
 			t.Fatal(err)
 		}
 		auc[i] = MacroAUC(f.Proba(Xte), yte, 3)
@@ -117,15 +115,88 @@ func TestHistCloseToExactSynthetic(t *testing.T) {
 	Xr, yr := synthReg(2000, 0.3, 32)
 	Xrte, yrte := synthReg(600, 0.3, 132)
 	var r2 [2]float64
-	for i, backend := range []Backend{BackendExact, BackendHist} {
-		g := NewGBM(GBMConfig{Rounds: 30, Seed: 5, Backend: backend})
-		if err := g.Fit(Xr, yr); err != nil {
+	for i, bm := range []*binnedMatrix{nil, newBinnedMatrix(Xr)} {
+		g := NewGBM(GBMConfig{Rounds: 30, Seed: 5})
+		if err := g.fit(bm, Xr, yr); err != nil {
 			t.Fatal(err)
 		}
 		r2[i] = R2(g.Predict(Xrte), yrte)
 	}
 	if math.Abs(r2[0]-r2[1]) > 0.05 {
 		t.Fatalf("gbm R2 diverged: exact %g hist %g", r2[0], r2[1])
+	}
+}
+
+// TestSplitPathFollowsRowCount pins the one split-path rule (binnedFor):
+// a public fit of histMinRows-1 rows exports what the exact seam (a nil
+// matrix) does, and a fit of histMinRows rows what the histogram seam
+// does, for every tree model and both tasks. The two seams must export
+// different models at each size, or the comparison could not tell the
+// paths apart.
+func TestSplitPathFollowsRowCount(t *testing.T) {
+	for _, rows := range []int{histMinRows - 1, histMinRows} {
+		X := benchMatrix(rows, benchFeatures, 42)
+		yc, yr := benchLabels(X, benchClasses, 42), benchTarget(X, 42)
+		yf := labelFloats(yc)
+		fc := ForestConfig{Trees: 4, Seed: 7, Workers: 1}
+		gc := GBMConfig{Rounds: 5, Seed: 7, Workers: 1}
+		tc := TreeConfig{Seed: 7}
+		models := []struct {
+			name   string
+			public func() (any, error)
+			seam   func(bm *binnedMatrix) (any, error)
+		}{
+			{"tree-class",
+				func() (any, error) { m := NewTree(tc); return m, m.FitClass(X, yc, benchClasses) },
+				func(bm *binnedMatrix) (any, error) {
+					m := NewTree(tc)
+					return m, m.fitRows(bm, X, yf, classCodes(yf, benchClasses), benchClasses, nil, nil)
+				}},
+			{"tree-reg",
+				func() (any, error) { m := NewTree(tc); return m, m.Fit(X, yr) },
+				func(bm *binnedMatrix) (any, error) {
+					m := NewTree(tc)
+					return m, m.fitRows(bm, X, yr, nil, 0, nil, nil)
+				}},
+			{"forest-class",
+				func() (any, error) { m := NewForest(fc); return m, m.FitClass(X, yc, benchClasses) },
+				func(bm *binnedMatrix) (any, error) { m := NewForest(fc); return m, m.fit(bm, X, yf, benchClasses) }},
+			{"forest-reg",
+				func() (any, error) { m := NewForest(fc); return m, m.Fit(X, yr) },
+				func(bm *binnedMatrix) (any, error) { m := NewForest(fc); return m, m.fit(bm, X, yr, 0) }},
+			{"extra-class",
+				func() (any, error) { m := NewExtraTrees(fc); return m, m.FitClass(X, yc, benchClasses) },
+				func(bm *binnedMatrix) (any, error) { m := NewExtraTrees(fc); return m, m.fit(bm, X, yf, benchClasses) }},
+			{"extra-reg",
+				func() (any, error) { m := NewExtraTrees(fc); return m, m.Fit(X, yr) },
+				func(bm *binnedMatrix) (any, error) { m := NewExtraTrees(fc); return m, m.fit(bm, X, yr, 0) }},
+			{"gbm-class",
+				func() (any, error) { m := NewGBM(gc); return m, m.FitClass(X, yc, benchClasses) },
+				func(bm *binnedMatrix) (any, error) { m := NewGBM(gc); return m, m.fitClass(bm, X, yc, benchClasses) }},
+			{"gbm-reg",
+				func() (any, error) { m := NewGBM(gc); return m, m.Fit(X, yr) },
+				func(bm *binnedMatrix) (any, error) { m := NewGBM(gc); return m, m.fit(bm, X, yr) }},
+		}
+		digest := func(m any, err error) string {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return exportDigest(t, m)
+		}
+		for _, m := range models {
+			exact, hist := digest(m.seam(nil)), digest(m.seam(newBinnedMatrix(X)))
+			if exact == hist {
+				t.Fatalf("%d rows, %s: the exact and histogram seams export the same model", rows, m.name)
+			}
+			want, path := exact, "exact"
+			if rows >= histMinRows {
+				want, path = hist, "histogram"
+			}
+			if got := digest(m.public()); got != want {
+				t.Errorf("%d rows, %s: public fit differs from the %s seam", rows, m.name, path)
+			}
+		}
 	}
 }
 
@@ -333,13 +404,13 @@ func TestBinnedMatrixCodes(t *testing.T) {
 		X[i] = []float64{rng.NormFloat64(), float64(rng.Intn(5)), rng.Float64() * 100}
 	}
 	X[17][0] = math.NaN()
-	bm := NewBinnedMatrix(X, 64)
-	if bm.Rows() != n || bm.Features() != 3 {
-		t.Fatalf("shape = %d×%d", bm.Rows(), bm.Features())
+	bm := newBinnedMatrix(X)
+	if bm.features != 3 || len(bm.codes) != 3 || len(bm.codes[0]) != n {
+		t.Fatalf("shape = %d×%d", len(bm.codes[0]), bm.features)
 	}
 	for f := 0; f < 3; f++ {
-		if bm.Bins(f) > 64 {
-			t.Fatalf("feature %d has %d bins", f, bm.Bins(f))
+		if bm.bins[f] > maxHistBins {
+			t.Fatalf("feature %d has %d bins", f, bm.bins[f])
 		}
 		edges := bm.edges[f]
 		for b := 1; b < len(edges); b++ {
@@ -365,48 +436,57 @@ func TestBinnedMatrixCodes(t *testing.T) {
 		}
 	}
 	// The 5-value integer feature must bin losslessly: one bin per value.
-	if bm.Bins(1) != 5 {
-		t.Fatalf("low-cardinality feature has %d bins, want 5", bm.Bins(1))
+	if bm.bins[1] != 5 {
+		t.Fatalf("low-cardinality feature has %d bins, want 5", bm.bins[1])
 	}
 }
 
-// TestFitBinnedShared fits several trees against one shared matrix —
-// the ensemble pattern — and checks the API's error cases.
-func TestFitBinnedShared(t *testing.T) {
-	X, yc, yr := gridData(600, 7)
-	bm := NewBinnedMatrix(X, 256)
-	tr := NewTree(TreeConfig{Seed: 1, Backend: BackendHist, MinLeaf: 2})
-	if err := tr.FitClassBinned(bm, yc, 3, nil); err != nil {
-		t.Fatal(err)
+// TestPartitionStable pins the one row partition every tree grower
+// uses, on thresholds and on bin codes: idx becomes its left rows, then
+// its right rows, each in their idx order (duplicates and NaN included),
+// and stays untouched when a side would hold fewer than minLeaf rows.
+func TestPartitionStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	X := make([][]float64, 50)
+	codes := make([]uint8, len(X))
+	for r := range X {
+		X[r] = []float64{float64(rng.Intn(10))}
+		codes[r] = uint8(X[r][0])
 	}
-	pred := tr.Predict(X)
-	correct := 0
-	for i := range pred {
-		if int(pred[i]) == yc[i] {
-			correct++
+	X[7][0], codes[7] = math.NaN(), 255 // NaN goes right on both
+	for trial := 0; trial < 500; trial++ {
+		idx := make([]int, 1+rng.Intn(80))
+		for i := range idx {
+			idx[i] = rng.Intn(len(X))
 		}
-	}
-	if float64(correct)/float64(len(yc)) < 0.85 {
-		t.Fatalf("binned tree train accuracy = %d/%d", correct, len(yc))
-	}
-	rg := NewTree(TreeConfig{Seed: 2, Backend: BackendHist, MinLeaf: 2})
-	if err := rg.FitBinned(bm, yr, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r2 := R2(rg.Predict(X), yr); r2 < 0.8 {
-		t.Fatalf("binned regression tree R2 = %g", r2)
-	}
-	if err := NewTree(TreeConfig{}).FitBinned(nil, yr, nil); err == nil {
-		t.Fatal("nil matrix must error")
-	}
-	if err := NewTree(TreeConfig{}).FitBinned(bm, yr[:10], nil); err == nil {
-		t.Fatal("row mismatch must error")
-	}
-	if err := NewTree(TreeConfig{}).FitClassBinned(bm, yc, 1, nil); err == nil {
-		t.Fatal("1-class must error")
-	}
-	if err := NewTree(TreeConfig{}).FitBinned(bm, yr, []int{}); err == nil {
-		t.Fatal("empty row set must error")
+		bin, minLeaf := rng.Intn(10), 1+rng.Intn(8)
+		var left, right []int
+		for _, r := range idx {
+			if X[r][0] <= float64(bin)+0.5 {
+				left = append(left, r)
+			} else {
+				right = append(right, r)
+			}
+		}
+		want, wantOK := append(append([]int(nil), left...), right...), true
+		if len(left) < minLeaf || len(right) < minLeaf {
+			want, wantOK = idx, false
+		}
+		buf := make([]int, len(idx))
+		for _, kind := range []string{"threshold", "code"} {
+			got := append([]int(nil), idx...)
+			var nLeft int
+			var ok bool
+			if kind == "threshold" {
+				nLeft, ok = partitionThr(got, buf, X, 0, float64(bin)+0.5, minLeaf)
+			} else {
+				nLeft, ok = partitionCode(got, buf, codes, uint8(bin), minLeaf)
+			}
+			if ok != wantOK || (ok && nLeft != len(left)) || !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %s: got %v (left %d, ok %v), want %v (left %d, ok %v)",
+					trial, kind, got, nLeft, ok, want, len(left), wantOK)
+			}
+		}
 	}
 }
 
@@ -414,28 +494,28 @@ func TestFitBinnedShared(t *testing.T) {
 // recorded during growth must equal a full re-traversal of the matrix.
 func TestTrainPredictionCapture(t *testing.T) {
 	X, _, yr := gridData(800, 8)
-	for _, backend := range []Backend{BackendExact, BackendHist} {
-		tr := NewTree(TreeConfig{Seed: 4, Backend: backend})
+	for _, bm := range []*binnedMatrix{nil, newBinnedMatrix(X)} {
+		tr := NewTree(TreeConfig{Seed: 4})
 		captured := make([]float64, len(yr))
-		if err := tr.fitRows(nil, X, yr, 0, nil, captured); err != nil {
+		if err := tr.fitRows(bm, X, yr, nil, 0, nil, captured); err != nil {
 			t.Fatal(err)
 		}
 		walked := tr.Predict(X)
 		for i := range walked {
 			if captured[i] != walked[i] {
-				t.Fatalf("backend %d row %d: captured %v, walked %v", backend, i, captured[i], walked[i])
+				t.Fatalf("binned=%v row %d: captured %v, walked %v", bm != nil, i, captured[i], walked[i])
 			}
 		}
 	}
 }
 
-// histGoldenModels fits the four histogram-backend models the goldens
-// pin on one shape, at the given worker count, and returns each one's
-// export digest keyed by model name.
+// histGoldenModels fits the four models the histogram goldens pin on
+// one shape of at least histMinRows rows, at the given worker count, and
+// returns each one's export digest keyed by model name.
 func histGoldenModels(t *testing.T, X [][]float64, yc []int, yr []float64, workers int) map[string]string {
 	t.Helper()
-	fc := ForestConfig{Trees: 8, Seed: 7, Workers: workers, Backend: BackendHist}
-	gc := GBMConfig{Rounds: 10, Seed: 7, Workers: workers, Backend: BackendHist}
+	fc := ForestConfig{Trees: 8, Seed: 7, Workers: workers}
+	gc := GBMConfig{Rounds: 10, Seed: 7, Workers: workers}
 	forestClass, forestReg := NewForest(fc), NewForest(fc)
 	gbmClass, gbmReg := NewGBM(gc), NewGBM(gc)
 	for _, err := range []error{

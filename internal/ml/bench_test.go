@@ -161,8 +161,8 @@ func BenchmarkMLForestFitReg(b *testing.B) {
 }
 
 // validationRows is the sample every generated pipeline is validated on
-// before its full-split run (Alg. 4; core.Options.ValidationRows). At
-// this size BackendAuto resolves to the exact sweep (autoHistMinRows).
+// before its full-split run (Alg. 4; core.Options.ValidationRows). It is
+// below histMinRows, so these fits run the exact sweep.
 const validationRows = 500
 
 // BenchmarkMLForestFitExactClass is the cold classification-forest fit
@@ -172,7 +172,7 @@ func BenchmarkMLForestFitExactClass(b *testing.B) {
 	yc := benchLabels(X, benchClasses, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1, Backend: BackendExact})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -180,14 +180,14 @@ func BenchmarkMLForestFitExactClass(b *testing.B) {
 	}
 }
 
-// BenchmarkMLForestFitExactReg is the exact-backend regression fit on
-// the validation-sample shape.
+// BenchmarkMLForestFitExactReg is the exact-sweep regression fit on the
+// validation-sample shape.
 func BenchmarkMLForestFitExactReg(b *testing.B) {
 	X := benchMatrix(validationRows, benchFeatures, 42)
 	yr := benchTarget(X, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1, Backend: BackendExact})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -196,13 +196,13 @@ func BenchmarkMLForestFitExactReg(b *testing.B) {
 }
 
 // BenchmarkMLForestFitHistWide is the cold regression-forest fit on the
-// serve shape: 2,000 rows × 100 features, 90 of them one-hot, on the
-// histogram backend.
+// serve shape: 2,000 rows × 100 features, 90 of them one-hot, grown on
+// histograms.
 func BenchmarkMLForestFitHistWide(b *testing.B) {
 	X, _, yr := wideData(wideRows, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 40, Seed: 7, Workers: 1, Backend: BackendHist})
+		f := NewForest(ForestConfig{Trees: 40, Seed: 7, Workers: 1})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}

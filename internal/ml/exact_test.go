@@ -252,12 +252,13 @@ func TestExactSplitMatchesReference(t *testing.T) {
 	}
 }
 
-// forestDigest fits a forest on the 500 × 16 validation-sample shape
-// with the exact backend and returns the SHA-256 of its exported JSON.
+// forestDigest fits a forest on the 500 × 16 validation-sample shape,
+// which is below histMinRows so every node runs the exact sweep, and
+// returns the SHA-256 of its exported JSON.
 func forestDigest(t *testing.T, classify bool, workers int) string {
 	t.Helper()
 	X := benchMatrix(validationRows, benchFeatures, 42)
-	f := NewForest(ForestConfig{Seed: 7, Workers: workers, Backend: BackendExact})
+	f := NewForest(ForestConfig{Seed: 7, Workers: workers})
 	var err error
 	if classify {
 		err = f.FitClass(X, benchLabels(X, benchClasses, 42), benchClasses)
@@ -318,7 +319,7 @@ func TestTreeClassLimit(t *testing.T) {
 	if err := f.FitClass(X, y, maxClasses+1); err == nil || f.Fitted() {
 		t.Fatalf("forest: class count past the int16 codes must error and leave it unfitted (err=%v)", err)
 	}
-	tr := NewTree(TreeConfig{Seed: 1, MinLeaf: 1, Backend: BackendExact})
+	tr := NewTree(TreeConfig{Seed: 1, MinLeaf: 1})
 	if err := tr.FitClass(X, y, maxClasses); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"math/rand"
-	"sort"
 
 	"catdb/internal/pool"
 )
@@ -33,12 +32,7 @@ func (e *ExtraTrees) FitClass(X [][]float64, y []int, classes int) error {
 	if classes < 2 {
 		return errClasses(classes)
 	}
-	e.classes = classes
-	yf := make([]float64, len(y))
-	for i, v := range y {
-		yf[i] = float64(v)
-	}
-	return e.fit(X, yf)
+	return e.fit(binnedFor(X), X, labelFloats(y), classes)
 }
 
 // Fit trains the ensemble for regression.
@@ -46,28 +40,26 @@ func (e *ExtraTrees) Fit(X [][]float64, y []float64) error {
 	if err := checkXY(X, len(y)); err != nil {
 		return err
 	}
-	e.classes = 0
-	return e.fit(X, append([]float64(nil), y...))
+	return e.fit(binnedFor(X), X, append([]float64(nil), y...), 0)
 }
 
-// fit grows trees in parallel over a binned matrix built once and shared
-// read-only by every tree (large fits only). Each tree derives its RNG
-// from its index, so the ensemble is bit-identical at any worker count.
-// Only a panicking tree fails the fit, which leaves the ensemble
-// unfitted.
-func (e *ExtraTrees) fit(X [][]float64, y []float64) error {
+// fit grows trees in parallel over bm (nil: raw thresholds), shared
+// read-only by every tree. Each tree derives its RNG from its index, so
+// the ensemble is bit-identical at any worker count. Only a panicking
+// tree fails the fit, which leaves the ensemble unfitted.
+func (e *ExtraTrees) fit(bm *binnedMatrix, X [][]float64, y []float64, classes int) error {
 	cfg := e.Config
+	e.classes = classes
 	e.trees = make([]*Tree, cfg.Trees)
 	n := len(y)
-	bm := sharedBinned(X, cfg.Backend, cfg.MaxBins, n)
 	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*104729))
 		rows := make([]int, n)
 		for r := range rows {
 			rows[r] = rng.Intn(n)
 		}
-		t := &Tree{classes: e.classes}
-		e.grow(t, X, bm, y, rows, 0, rng)
+		t := &Tree{classes: classes}
+		e.grow(t, X, bm, y, rows, make([]int, n), 0, rng)
 		e.trees[i] = t
 		return nil
 	})
@@ -78,14 +70,15 @@ func (e *ExtraTrees) fit(X [][]float64, y []float64) error {
 }
 
 // grow appends the subtree over rows idx to t: a split on the first
-// random candidate that leaves both children viable, or else a leaf.
-func (e *ExtraTrees) grow(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, idx []int, depth int, rng *rand.Rand) {
+// random candidate that leaves both children viable, or else a leaf. A
+// split reorders idx in place, through the tree's scratch buf.
+func (e *ExtraTrees) grow(t *Tree, X [][]float64, bm *binnedMatrix, y []float64, idx, buf []int, depth int, rng *rand.Rand) {
 	if depth < e.Config.MaxDepth && len(idx) >= 2*e.Config.MinLeaf {
-		if f, thr, li, ri, ok := e.randomSplit(X, bm, idx, rng); ok {
+		if f, thr, nLeft, ok := e.randomSplit(X, bm, idx, buf, rng); ok {
 			at := t.split(f, thr)
-			e.grow(t, X, bm, y, li, depth+1, rng)
+			e.grow(t, X, bm, y, idx[:nLeft], buf, depth+1, rng)
 			t.setRight(at)
-			e.grow(t, X, bm, y, ri, depth+1, rng)
+			e.grow(t, X, bm, y, idx[nLeft:], buf, depth+1, rng)
 			return
 		}
 	}
@@ -93,12 +86,14 @@ func (e *ExtraTrees) grow(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64,
 }
 
 // randomSplit tries a handful of (feature, random threshold) pairs and
-// returns the first that produces two viable children. With a binned
-// matrix the candidate scan runs over contiguous uint8 codes — the
-// threshold is a random bin boundary mapped back to its real value —
-// instead of chasing row pointers through the float matrix.
-func (e *ExtraTrees) randomSplit(X [][]float64, bm *BinnedMatrix, idx []int, rng *rand.Rand) (f int, thr float64, li, ri []int, ok bool) {
+// partitions idx on the first that produces two viable children; a
+// failed try leaves idx untouched. With a binned matrix the candidate
+// scan runs over contiguous uint8 codes — the threshold is a random bin
+// boundary mapped back to its real value — instead of chasing row
+// pointers through the float matrix.
+func (e *ExtraTrees) randomSplit(X [][]float64, bm *binnedMatrix, idx, buf []int, rng *rand.Rand) (f int, thr float64, nLeft int, ok bool) {
 	d := len(X[0])
+	minLeaf := e.Config.MinLeaf
 	for try := 0; try < 8; try++ {
 		f = rng.Intn(d)
 		if bm != nil {
@@ -117,20 +112,10 @@ func (e *ExtraTrees) randomSplit(X [][]float64, bm *BinnedMatrix, idx []int, rng
 				continue
 			}
 			cb := int(minC) + rng.Intn(int(maxC)-int(minC))
-			li = make([]int, 0, len(idx)/2)
-			ri = make([]int, 0, len(idx)/2)
-			b := uint8(cb)
-			for _, r := range idx {
-				if codes[r] <= b {
-					li = append(li, r)
-				} else {
-					ri = append(ri, r)
-				}
+			if nLeft, ok = partitionCode(idx, buf, codes, uint8(cb), minLeaf); ok {
+				return f, bm.edges[f][cb], nLeft, true
 			}
-			if len(li) < e.Config.MinLeaf || len(ri) < e.Config.MinLeaf {
-				continue
-			}
-			return f, bm.edges[f][cb], li, ri, true
+			continue
 		}
 		lo, hi := X[idx[0]][f], X[idx[0]][f]
 		for _, r := range idx {
@@ -145,20 +130,11 @@ func (e *ExtraTrees) randomSplit(X [][]float64, bm *BinnedMatrix, idx []int, rng
 			continue
 		}
 		thr = lo + rng.Float64()*(hi-lo)
-		li, ri = nil, nil
-		for _, r := range idx {
-			if X[r][f] <= thr {
-				li = append(li, r)
-			} else {
-				ri = append(ri, r)
-			}
+		if nLeft, ok = partitionThr(idx, buf, X, f, thr, minLeaf); ok {
+			return f, thr, nLeft, true
 		}
-		if len(li) < e.Config.MinLeaf || len(ri) < e.Config.MinLeaf {
-			continue
-		}
-		return f, thr, li, ri, true
 	}
-	return 0, 0, nil, nil, false
+	return 0, 0, 0, false
 }
 
 // Predict averages trees (regression) or returns argmax classes. An
@@ -330,47 +306,4 @@ func (m *SVM) Proba(X [][]float64) [][]float64 {
 		out[i] = p
 	}
 	return out
-}
-
-// CrossValidateClass runs k-fold cross-validation of a classifier factory
-// and returns the per-fold macro-AUC scores.
-func CrossValidateClass(X [][]float64, y []int, classes, folds int, seed int64,
-	factory func(seed int64) interface {
-		FitClass(X [][]float64, y []int, classes int) error
-		Proba(X [][]float64) [][]float64
-	}) ([]float64, error) {
-
-	if folds < 2 {
-		folds = 2
-	}
-	n := len(y)
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	scores := make([]float64, 0, folds)
-	for f := 0; f < folds; f++ {
-		lo, hi := f*n/folds, (f+1)*n/folds
-		test := perm[lo:hi]
-		train := append(append([]int(nil), perm[:lo]...), perm[hi:]...)
-		if len(test) == 0 || len(train) == 0 {
-			continue
-		}
-		Xtr, ytr := subset(X, y, train)
-		Xte, yte := subset(X, y, test)
-		clf := factory(seed + int64(f))
-		if err := clf.FitClass(Xtr, ytr, classes); err != nil {
-			return nil, err
-		}
-		scores = append(scores, MacroAUC(clf.Proba(Xte), yte, classes))
-	}
-	sort.Float64s(scores)
-	return scores, nil
-}
-
-func subset(X [][]float64, y []int, rows []int) ([][]float64, []int) {
-	xs := make([][]float64, len(rows))
-	ys := make([]int, len(rows))
-	for i, r := range rows {
-		xs[i], ys[i] = X[r], y[r]
-	}
-	return xs, ys
 }

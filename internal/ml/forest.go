@@ -17,11 +17,6 @@ type ForestConfig struct {
 	// inference: 0 = GOMAXPROCS, 1 = serial. Every tree derives its RNG
 	// from its index, so the ensemble is bit-identical at any setting.
 	Workers int
-	// Backend selects the tree split backend (default auto: histogram
-	// for large fits, exact for small ones).
-	Backend Backend
-	// MaxBins caps histogram bins per feature (default 256).
-	MaxBins int
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -58,8 +53,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	if err := checkXY(X, len(y)); err != nil {
 		return err
 	}
-	f.classes = 0
-	return f.fitEnsemble(X, y)
+	return f.fit(binnedFor(X), X, y, 0)
 }
 
 // FitClass trains a classification forest.
@@ -70,25 +64,21 @@ func (f *Forest) FitClass(X [][]float64, y []int, classes int) error {
 	if classes < 2 {
 		return errClasses(classes)
 	}
-	f.classes = classes
-	yf := make([]float64, len(y))
-	for i, v := range y {
-		yf[i] = float64(v)
-	}
-	return f.fitEnsemble(X, yf)
+	return f.fit(binnedFor(X), X, labelFloats(y), classes)
 }
 
-// fitEnsemble bags trees over a binned matrix built once and shared
-// read-only across every tree. Each tree seeds its own RNG from its
-// index, so the forest is identical at any worker count; pool.Each runs
-// the single-worker case without spawning goroutines at all.
-func (f *Forest) fitEnsemble(X [][]float64, yf []float64) error {
+// fit bags trees over bm (nil: the exact sweep), shared read-only across
+// every tree, as are the class codes built once here. Each tree seeds
+// its own RNG from its index, so the forest is identical at any worker
+// count; pool.Each runs the single-worker case without spawning
+// goroutines at all.
+func (f *Forest) fit(bm *binnedMatrix, X [][]float64, yf []float64, classes int) error {
 	cfg := f.Config
 	n := len(yf)
-	bm := sharedBinned(X, cfg.Backend, cfg.MaxBins, n)
-	treeBackend := BackendExact
-	if bm != nil {
-		treeBackend = BackendHist
+	f.classes = classes
+	var yc []int16
+	if classes > 0 {
+		yc = classCodes(yf, classes)
 	}
 	f.trees = make([]*Tree, cfg.Trees)
 	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
@@ -100,9 +90,8 @@ func (f *Forest) fitEnsemble(X [][]float64, yf []float64) error {
 		t := NewTree(TreeConfig{
 			MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf,
 			FeatureFrac: cfg.FeatureFrac, Seed: cfg.Seed + int64(i),
-			Backend: treeBackend, MaxBins: cfg.MaxBins,
 		})
-		err := t.fitRows(bm, X, yf, f.classes, rows, nil)
+		err := t.fitRows(bm, X, yf, yc, classes, rows, nil)
 		f.trees[i] = t
 		return err
 	})

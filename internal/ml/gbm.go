@@ -18,10 +18,6 @@ type GBMConfig struct {
 	// derives its tree seeds from (class, round), so the model is
 	// bit-identical at any setting.
 	Workers int
-	// Backend selects the tree split backend (default auto).
-	Backend Backend
-	// MaxBins caps histogram bins per feature (default 256).
-	MaxBins int
 }
 
 func (c GBMConfig) withDefaults() GBMConfig {
@@ -61,17 +57,8 @@ func NewGBM(cfg GBMConfig) *GBM { return &GBM{Config: cfg.withDefaults()} }
 // Fitted reports whether the model has been trained.
 func (g *GBM) Fitted() bool { return g.fitted }
 
-func (g *GBM) treeConfig(seed int64, bm *BinnedMatrix) TreeConfig {
-	backend := g.Config.Backend
-	if bm != nil {
-		backend = BackendHist
-	} else if backend == BackendAuto {
-		backend = BackendExact
-	}
-	return TreeConfig{
-		MaxDepth: g.Config.MaxDepth, MinLeaf: g.Config.MinLeaf,
-		Seed: seed, Backend: backend, MaxBins: g.Config.MaxBins,
-	}
+func (g *GBM) newTree(seed int64) *Tree {
+	return NewTree(TreeConfig{MaxDepth: g.Config.MaxDepth, MinLeaf: g.Config.MinLeaf, Seed: seed})
 }
 
 // Fit trains least-squares gradient boosting for regression.
@@ -79,6 +66,12 @@ func (g *GBM) Fit(X [][]float64, y []float64) error {
 	if err := checkXY(X, len(y)); err != nil {
 		return err
 	}
+	return g.fit(binnedFor(X), X, y)
+}
+
+// fit boosts regression trees over bm (nil: the exact sweep), shared by
+// every round.
+func (g *GBM) fit(bm *binnedMatrix, X [][]float64, y []float64) error {
 	g.classes = 0
 	g.fitted = false
 	var sum float64
@@ -87,8 +80,6 @@ func (g *GBM) Fit(X [][]float64, y []float64) error {
 	}
 	n := len(y)
 	g.base = sum / float64(n)
-	bm := sharedBinned(X, g.Config.Backend, g.Config.MaxBins, n)
-	rows := allRows(n)
 	resid := make([]float64, n)
 	pred := make([]float64, n)
 	up := make([]float64, n)
@@ -100,8 +91,8 @@ func (g *GBM) Fit(X [][]float64, y []float64) error {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
-		t := NewTree(g.treeConfig(g.Config.Seed+int64(r), bm))
-		if err := t.fitRows(bm, X, resid, 0, rows, up); err != nil {
+		t := g.newTree(g.Config.Seed + int64(r))
+		if err := t.fitRows(bm, X, resid, nil, 0, nil, up); err != nil {
 			return err
 		}
 		for i := range pred {
@@ -151,13 +142,17 @@ func (g *GBM) FitClass(X [][]float64, y []int, classes int) error {
 	if classes < 2 {
 		return errClasses(classes)
 	}
+	return g.fitClass(binnedFor(X), X, y, classes)
+}
+
+// fitClass runs the one-vs-rest chains over bm (nil: the exact sweep),
+// shared by every round of every class.
+func (g *GBM) fitClass(bm *binnedMatrix, X [][]float64, y []int, classes int) error {
 	g.classes = classes
 	g.fitted = false
 	n := len(y)
 	g.ovr = make([][]*Tree, classes)
 	g.bias = make([]float64, classes)
-	bm := sharedBinned(X, g.Config.Backend, g.Config.MaxBins, n)
-	rows := allRows(n)
 	err := pool.Each(g.Config.Workers, classes, func(c int) error {
 		pos := 0
 		target := make([]float64, n)
@@ -181,8 +176,8 @@ func (g *GBM) FitClass(X [][]float64, y []int, classes int) error {
 			for i := range grad {
 				grad[i] = target[i] - sigmoid(score[i])
 			}
-			t := NewTree(g.treeConfig(g.Config.Seed+int64(c*1000+r), bm))
-			if err := t.fitRows(bm, X, grad, 0, rows, up); err != nil {
+			t := g.newTree(g.Config.Seed + int64(c*1000+r))
+			if err := t.fitRows(bm, X, grad, nil, 0, nil, up); err != nil {
 				return err
 			}
 			for i := range score {

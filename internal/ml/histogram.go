@@ -3,13 +3,14 @@ package ml
 import "math/rand"
 
 // grower is the per-tree construction state shared by both split
-// backends. It owns the tree's RNG, the optional binned matrix, a slab
-// free-list for histogram reuse, the exact sweep's sort buffer, and the
-// optional per-row train prediction capture used by boosting.
+// sweeps. It owns the tree's RNG, the optional binned matrix, a slab
+// free-list for histogram reuse, the exact sweep's sort buffer, the
+// partition scratch, and the optional per-row train prediction capture
+// used by boosting.
 type grower struct {
 	t    *Tree
 	X    [][]float64
-	bm   *BinnedMatrix // nil = exact backend
+	bm   *binnedMatrix // nil = exact sweep at every node
 	y    []float64
 	yc   []int16   // classification labels (-1 = out of range), nil for regression
 	pred []float64 // optional: leaf value per training row (regression)
@@ -23,19 +24,22 @@ type grower struct {
 	slabLen int
 	statLen int
 	free    [][]float64
-	// Sweep scratch (classification), shared by both backends; totals
+	// Sweep scratch (classification), shared by both sweeps; totals
 	// holds the node's class counts after impurity.
 	scratchL []float64
 	scratchR []float64
 	totals   []float64
 	// Exact-sweep sort buffer, grown to the largest exact node so far:
-	// on the exact backend that is the root, one allocation per tree.
+	// without a binned matrix that is the root, one allocation per tree.
 	arr []vy
 	// Feature-sample buffer, refilled at every node (sampleFeatures).
 	feats []int
+	// Partition scratch as long as the root's rows (partitionThr,
+	// partitionCode), shared by every node of the tree.
+	buf []int
 }
 
-func newGrower(t *Tree, X [][]float64, bm *BinnedMatrix, y []float64, pred []float64, rng *rand.Rand) *grower {
+func newGrower(t *Tree, X [][]float64, bm *binnedMatrix, y []float64, pred []float64, rng *rand.Rand) *grower {
 	g := &grower{t: t, X: X, bm: bm, y: y, pred: pred, rng: rng}
 	if bm != nil {
 		g.statLen = 3
@@ -95,10 +99,11 @@ func classCodes(y []float64, classes int) []int16 {
 	return yc
 }
 
-// grow appends the subtree over rows idx to the tree. slab, when
-// non-nil, is this node's pre-derived histogram (from the
-// parent-minus-sibling trick); ownership transfers in: grow releases or
-// re-derives it.
+// grow appends the subtree over rows idx to the tree, reordering idx in
+// place: a split leaves its left rows, then its right rows, each in
+// their idx order. slab, when non-nil, is this node's pre-derived
+// histogram (from the parent-minus-sibling trick); ownership transfers
+// in: grow releases or re-derives it.
 func (g *grower) grow(idx []int, depth int, slab []float64) {
 	t := g.t
 	if depth >= t.Config.MaxDepth || len(idx) < 2*t.Config.MinLeaf || g.pure(idx) {
@@ -106,8 +111,8 @@ func (g *grower) grow(idx []int, depth int, slab []float64) {
 		g.makeLeaf(idx)
 		return
 	}
-	useHist := g.bm != nil && len(idx) >= t.Config.ExactNodeSize
-	var feat, bin, nLeft int
+	useHist := g.bm != nil && len(idx) >= t.Config.exactBelow
+	var feat, nLeft int
 	var thr float64
 	var ok bool
 	if useHist {
@@ -115,34 +120,25 @@ func (g *grower) grow(idx []int, depth int, slab []float64) {
 			slab = g.getSlab()
 			g.accumulate(slab, idx)
 		}
-		feat, bin, thr, nLeft, ok = g.bestSplitHist(slab, idx)
+		var bin int
+		feat, bin, thr, ok = g.bestSplitHist(slab, idx)
+		if ok {
+			nLeft, ok = partitionCode(idx, g.buf, g.bm.codes[feat], uint8(bin), t.Config.MinLeaf)
+		}
 	} else {
 		g.release(slab)
 		slab = nil
 		feat, thr, ok = g.bestSplit(idx)
+		if ok {
+			nLeft, ok = partitionThr(idx, g.buf, g.X, feat, thr, t.Config.MinLeaf)
+		}
 	}
 	if !ok {
 		g.release(slab)
 		g.makeLeaf(idx)
 		return
 	}
-	var li, ri []int
-	if useHist {
-		li, ri = g.partitionCodes(idx, feat, bin, nLeft)
-	} else {
-		for _, r := range idx {
-			if g.X[r][feat] <= thr {
-				li = append(li, r)
-			} else {
-				ri = append(ri, r)
-			}
-		}
-	}
-	if len(li) < t.Config.MinLeaf || len(ri) < t.Config.MinLeaf {
-		g.release(slab)
-		g.makeLeaf(idx)
-		return
-	}
+	li, ri := idx[:nLeft], idx[nLeft:]
 	var lh, rh []float64
 	if useHist {
 		lh, rh = g.childSlabs(slab, li, ri, depth+1)
@@ -174,21 +170,54 @@ func (g *grower) makeLeaf(idx []int) {
 	}
 }
 
-// partitionCodes splits idx by binned code — a contiguous uint8 scan —
-// which is predicate-equivalent to X[r][feat] <= edges[feat][bin].
-func (g *grower) partitionCodes(idx []int, feat, bin, nLeft int) (li, ri []int) {
-	codes := g.bm.codes[feat]
-	li = make([]int, 0, nLeft)
-	ri = make([]int, 0, len(idx)-nLeft)
-	cb := uint8(bin)
+// partitionThr splits idx on X[r][f] <= thr, stably: the left rows, then
+// the right rows, each in their idx order, and returns the left count.
+// The rows are staged in buf (at least len(idx) long) and copied back
+// only when both sides hold at least minLeaf rows; otherwise ok is false
+// and idx is untouched, as a leaf over idx sums its rows in that order.
+func partitionThr(idx, buf []int, X [][]float64, f int, thr float64, minLeaf int) (nLeft int, ok bool) {
+	right := len(idx)
 	for _, r := range idx {
-		if codes[r] <= cb {
-			li = append(li, r)
+		if X[r][f] <= thr {
+			buf[nLeft] = r
+			nLeft++
 		} else {
-			ri = append(ri, r)
+			right--
+			buf[right] = r
 		}
 	}
-	return li, ri
+	return nLeft, placeSplit(idx, buf, nLeft, minLeaf)
+}
+
+// partitionCode is partitionThr over binned codes: codes[r] <= bin, the
+// same predicate as X[r][f] <= edges[f][bin].
+func partitionCode(idx, buf []int, codes []uint8, bin uint8, minLeaf int) (nLeft int, ok bool) {
+	right := len(idx)
+	for _, r := range idx {
+		if codes[r] <= bin {
+			buf[nLeft] = r
+			nLeft++
+		} else {
+			right--
+			buf[right] = r
+		}
+	}
+	return nLeft, placeSplit(idx, buf, nLeft, minLeaf)
+}
+
+// placeSplit copies a partition staged in buf back into idx when both
+// sides hold at least minLeaf rows. buf holds the left rows in order
+// from its start and the right rows in reverse from position len(idx)-1.
+func placeSplit(idx, buf []int, nLeft, minLeaf int) bool {
+	n := len(idx)
+	if nLeft < minLeaf || n-nLeft < minLeaf {
+		return false
+	}
+	copy(idx, buf[:nLeft])
+	for i, j := nLeft, n-1; i < n; i, j = i+1, j-1 {
+		idx[i] = buf[j]
+	}
+	return true
 }
 
 // childNeedsHist reports whether a child node will run a histogram sweep
@@ -196,7 +225,7 @@ func (g *grower) partitionCodes(idx []int, feat, bin, nLeft int) (li, ri []int) 
 // is simply released by the child).
 func (g *grower) childNeedsHist(child []int, depth int) bool {
 	t := g.t
-	return len(child) >= t.Config.ExactNodeSize &&
+	return len(child) >= t.Config.exactBelow &&
 		depth < t.Config.MaxDepth &&
 		len(child) >= 2*t.Config.MinLeaf
 }
@@ -312,7 +341,7 @@ func (g *grower) accumulate(slab []float64, idx []int) {
 // after empty bins are skipped — they duplicate the previous partition —
 // which keeps the candidate set identical to the exact sweep's
 // value-change positions when bins are lossless.
-func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr float64, nLeft int, ok bool) {
+func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr float64, ok bool) {
 	t := g.t
 	bm := g.bm
 	feats := g.sampleFeatures(bm.features)
@@ -362,11 +391,10 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 				if gain > bestGain+1e-12 {
 					bestGain, feat, bin, ok = gain, f, b, true
 					thr = bm.edges[f][b]
-					nLeft = int(cntL)
 				}
 			}
 		}
-		return feat, bin, thr, nLeft, ok
+		return feat, bin, thr, ok
 	}
 
 	// Regression: per-bin {count, sum, sum²} prefixes give each
@@ -405,9 +433,8 @@ func (g *grower) bestSplitHist(slab []float64, idx []int) (feat, bin int, thr fl
 			if gain > bestGain+1e-12 {
 				bestGain, feat, bin, ok = gain, f, b, true
 				thr = bm.edges[f][b]
-				nLeft = int(cntL)
 			}
 		}
 	}
-	return feat, bin, thr, nLeft, ok
+	return feat, bin, thr, ok
 }

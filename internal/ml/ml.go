@@ -18,16 +18,17 @@ import (
 // failures on large datasets).
 var ErrOutOfMemory = errors.New("ml: model working set exceeds memory budget")
 
-// Regressor predicts a numeric value per row.
+// Regressor is a model fitted to, and predicting, a numeric value per
+// row.
 type Regressor interface {
 	Fit(X [][]float64, y []float64) error
 	Predict(X [][]float64) []float64
 }
 
-// Classifier predicts a class index per row and class probabilities.
+// Classifier is a model fitted to class indices in [0,classes) that
+// predicts class probabilities.
 type Classifier interface {
-	Fit(X [][]float64, y []int, classes int) error
-	Predict(X [][]float64) []int
+	FitClass(X [][]float64, y []int, classes int) error
 	// Proba returns an n×classes matrix of class probabilities.
 	Proba(X [][]float64) [][]float64
 }

@@ -373,27 +373,6 @@ func TestSVMMulticlass(t *testing.T) {
 	}
 }
 
-func TestCrossValidateClass(t *testing.T) {
-	X, y := synthClass(300, 2, 0.6, 25)
-	scores, err := CrossValidateClass(X, y, 2, 5, 1, func(seed int64) interface {
-		FitClass(X [][]float64, y []int, classes int) error
-		Proba(X [][]float64) [][]float64
-	} {
-		return NewTree(TreeConfig{Seed: seed})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 5 {
-		t.Fatalf("folds = %d", len(scores))
-	}
-	for _, s := range scores {
-		if s < 0.8 {
-			t.Fatalf("fold AUC = %g", s)
-		}
-	}
-}
-
 func TestModelErrorsExtra(t *testing.T) {
 	if err := NewExtraTrees(ForestConfig{}).FitClass(nil, nil, 2); err == nil {
 		t.Fatal("empty X must error")

@@ -4,43 +4,28 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-)
-
-// Backend selects how a tree finds splits.
-type Backend int
-
-const (
-	// BackendAuto uses the histogram backend for large fits and the exact
-	// sort-and-sweep for small ones (the binning pass only pays for itself
-	// past autoHistMinRows).
-	BackendAuto Backend = iota
-	// BackendExact sorts every feature at every node (the original path).
-	BackendExact
-	// BackendHist quantile-bins each feature once and finds splits by
-	// histogram sweep, falling back to the exact sweep for nodes smaller
-	// than ExactNodeSize.
-	BackendHist
+	"slices"
 )
 
 // TreeConfig tunes CART construction.
 type TreeConfig struct {
 	MaxDepth      int // default 10
 	MinLeaf       int // default 5
-	MaxThresholds int // exact backend: candidate thresholds per feature; default 32
+	MaxThresholds int // exact sweep: candidate thresholds per feature; default 32
 	// FeatureFrac is the fraction of features examined per split (random
 	// forests use < 1). 0 means all features.
 	FeatureFrac float64
 	Seed        int64
-	// Backend selects exact vs histogram split finding (default auto).
-	Backend Backend
-	// MaxBins caps histogram bins per feature (default and max 256).
-	MaxBins int
-	// ExactNodeSize is the node size below which the histogram backend
-	// switches to the exact sweep: once a node holds fewer rows than
-	// bins, sorting them outright is cheaper than a 256-bin sweep.
-	// Default 64.
-	ExactNodeSize int
+	// exactBelow is the node size below which a histogram-grown tree
+	// sorts instead (default exactNodeSize). Tests lower it to run the
+	// histogram sweep on small nodes.
+	exactBelow int
 }
+
+// exactNodeSize is the node size below which a tree grown on histograms
+// switches to the exact sweep: once a node holds fewer rows than bins,
+// sorting them outright is cheaper than a 256-bin sweep.
+const exactNodeSize = 64
 
 func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MaxDepth <= 0 {
@@ -52,11 +37,8 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MaxThresholds <= 0 {
 		c.MaxThresholds = 32
 	}
-	if c.MaxBins <= 1 || c.MaxBins > maxHistBins {
-		c.MaxBins = maxHistBins
-	}
-	if c.ExactNodeSize <= 0 {
-		c.ExactNodeSize = 64
+	if c.exactBelow <= 0 {
+		c.exactBelow = exactNodeSize
 	}
 	return c
 }
@@ -152,7 +134,7 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 	if err := checkXY(X, len(y)); err != nil {
 		return err
 	}
-	return t.fitRows(nil, X, y, 0, nil, nil)
+	return t.fitRows(binnedFor(X), X, y, nil, 0, nil, nil)
 }
 
 // FitClass trains a classification tree over integer labels in [0,classes).
@@ -163,87 +145,39 @@ func (t *Tree) FitClass(X [][]float64, y []int, classes int) error {
 	if classes < 2 {
 		return errClasses(classes)
 	}
-	yf := make([]float64, len(y))
-	for i, v := range y {
-		yf[i] = float64(v)
-	}
-	return t.fitRows(nil, X, yf, classes, nil, nil)
+	yf := labelFloats(y)
+	return t.fitRows(binnedFor(X), X, yf, classCodes(yf, classes), classes, nil, nil)
 }
 
-// FitBinned trains a regression tree over a shared binned matrix,
-// restricted to rows (nil = all rows; duplicate indices implement
-// bagging). Ensembles build the matrix once and hand it to every tree.
-func (t *Tree) FitBinned(bm *BinnedMatrix, y []float64, rows []int) error {
-	if err := checkBinned(bm, len(y)); err != nil {
-		return err
-	}
-	return t.fitRows(bm, bm.raw, y, 0, rows, nil)
-}
-
-// FitClassBinned trains a classification tree over a shared binned matrix.
-func (t *Tree) FitClassBinned(bm *BinnedMatrix, y []int, classes int, rows []int) error {
-	if err := checkBinned(bm, len(y)); err != nil {
-		return err
-	}
-	if classes < 2 {
-		return errClasses(classes)
-	}
-	yf := make([]float64, len(y))
-	for i, v := range y {
-		yf[i] = float64(v)
-	}
-	return t.fitRows(bm, bm.raw, yf, classes, rows, nil)
-}
-
-func checkBinned(bm *BinnedMatrix, n int) error {
-	if bm == nil || bm.rows == 0 {
-		return fmt.Errorf("ml: empty binned matrix")
-	}
-	if bm.rows != n {
-		return fmt.Errorf("ml: binned matrix has %d rows, y has %d", bm.rows, n)
-	}
-	return nil
-}
-
-// fitRows is the shared training entry point: bm may be nil (exact
-// backend or auto-resolve), rows may be nil (all rows) or carry
-// duplicates (bagging), and pred — regression only — captures each
-// training row's leaf value during growth so boosting needs no
-// re-traversal of X after each round.
-func (t *Tree) fitRows(bm *BinnedMatrix, X [][]float64, yf []float64, classes int, rows []int, pred []float64) error {
+// fitRows is the one training entry point. bm is the fit's binned
+// matrix, or nil for the exact sweep at every node (binnedFor decides).
+// yc holds yf's class codes for a classification tree (classes > 0),
+// built once per fit. rows may be nil (all rows) or carry duplicates
+// (bagging); the tree grows on its own copy, since growth reorders it.
+// pred — regression only — captures each training row's leaf value
+// during growth so boosting needs no re-traversal of X after each round.
+func (t *Tree) fitRows(bm *binnedMatrix, X [][]float64, yf []float64, yc []int16, classes int, rows []int, pred []float64) error {
 	if classes > maxClasses {
 		return fmt.Errorf("ml: %d classes exceed the tree limit of %d", classes, maxClasses)
 	}
 	t.classes = classes
+	idx := slices.Clone(rows)
 	if rows == nil {
-		rows = allRows(len(yf))
+		idx = allRows(len(yf))
 	}
-	if len(rows) == 0 {
+	if len(idx) == 0 {
 		return fmt.Errorf("ml: no training rows")
 	}
-	if bm == nil {
-		switch t.Config.Backend {
-		case BackendHist:
-			bm = NewBinnedMatrix(X, t.Config.MaxBins)
-		case BackendAuto:
-			if len(rows) >= autoHistMinRows {
-				bm = NewBinnedMatrix(X, t.Config.MaxBins)
-			}
-		}
-	} else if t.Config.Backend == BackendExact {
-		bm = nil
-	}
 	g := newGrower(t, X, bm, yf, pred, rand.New(rand.NewSource(t.Config.Seed)))
-	if classes > 0 {
-		g.yc = classCodes(yf, classes)
-	}
+	g.yc = yc
+	g.buf = make([]int, len(idx))
 	t.nodes, t.vals = nil, nil
-	g.grow(rows, 0, nil)
+	g.grow(idx, 0, nil)
 	return nil
 }
 
 // maxClasses is the largest class count a tree accepts: both split
-// backends count classes from int16 label codes (classCodes).
+// sweeps count classes from int16 label codes (classCodes).
 const maxClasses = math.MaxInt16
 
 func errClasses(c int) error { return fmt.Errorf("ml: need at least 2 classes, got %d", c) }
@@ -297,6 +231,15 @@ func allRows(n int) []int {
 		idx[i] = i
 	}
 	return idx
+}
+
+// labelFloats converts class labels to the float targets trees fit.
+func labelFloats(y []int) []float64 {
+	yf := make([]float64, len(y))
+	for i, v := range y {
+		yf[i] = float64(v)
+	}
+	return yf
 }
 
 // vy pairs a feature value with its row's target in the exact sweep.

@@ -848,35 +848,17 @@ func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 	return X, names
 }
 
-// classifierIface and regressorIface unify the ml model zoo.
-type classifierIface interface {
-	FitClass(X [][]float64, y []int, classes int) error
-	Proba(X [][]float64) [][]float64
-}
-
-type regressorIface interface {
-	Fit(X [][]float64, y []float64) error
-	Predict(X [][]float64) []float64
-}
-
-func (e *Executor) buildClassifier(st Stmt, name string) (classifierIface, error) {
+func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) {
 	trees := atoiOpt(st, "trees", 50)
 	depth := atoiOpt(st, "depth", 0)
-	backend, err := backendOpt(st)
-	if err != nil {
-		return nil, err
-	}
-	bins := atoiOpt(st, "bins", 0)
 	switch name {
 	case "random_forest":
-		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
 	case "decision_tree":
-		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed,
-			Backend: backend, MaxBins: bins}), nil
+		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
 		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Workers: e.Workers}), nil
 	case "logistic_regression":
 		return ml.NewLogistic(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 20), Seed: e.Seed}), nil
 	case "knn":
@@ -886,8 +868,7 @@ func (e *Executor) buildClassifier(st Stmt, name string) (classifierIface, error
 	case "tabpfn":
 		return ml.NewTabPFNSim(), nil
 	case "extra_trees":
-		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
 	case "svm":
 		return ml.NewSVM(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 10), Seed: e.Seed}), nil
 	default:
@@ -895,24 +876,17 @@ func (e *Executor) buildClassifier(st Stmt, name string) (classifierIface, error
 	}
 }
 
-func (e *Executor) buildRegressor(st Stmt, name string) (regressorIface, error) {
+func (e *Executor) buildRegressor(st Stmt, name string) (ml.Regressor, error) {
 	trees := atoiOpt(st, "trees", 50)
 	depth := atoiOpt(st, "depth", 0)
-	backend, err := backendOpt(st)
-	if err != nil {
-		return nil, err
-	}
-	bins := atoiOpt(st, "bins", 0)
 	switch name {
 	case "random_forest":
-		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
 	case "decision_tree":
-		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed,
-			Backend: backend, MaxBins: bins}), nil
+		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
 		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Workers: e.Workers}), nil
 	case "linear_regression":
 		return ml.NewLinear(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 150)}), nil
 	case "ridge":
@@ -920,8 +894,7 @@ func (e *Executor) buildRegressor(st Stmt, name string) (regressorIface, error) 
 	case "knn":
 		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
 	case "extra_trees":
-		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
 	default:
 		return nil, rtErr(st.Line, ErrUnknownModel, "unknown regression model %q", name)
 	}
@@ -934,23 +907,4 @@ func atoiOpt(st Stmt, key string, def int) int {
 		}
 	}
 	return def
-}
-
-// backendOpt parses the optional backend=auto|exact|hist model option
-// into the tree split backend selector.
-func backendOpt(st Stmt) (ml.Backend, error) {
-	v, ok := st.KV["backend"]
-	if !ok {
-		return ml.BackendAuto, nil
-	}
-	switch v {
-	case "auto", "":
-		return ml.BackendAuto, nil
-	case "exact":
-		return ml.BackendExact, nil
-	case "hist", "histogram":
-		return ml.BackendHist, nil
-	default:
-		return 0, rtErr(st.Line, ErrBadOption, "unknown backend %q (want auto, exact or hist)", v)
-	}
 }

@@ -1,8 +1,11 @@
 package pipescript
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,33 +169,41 @@ func TestExecuteUnknownModel(t *testing.T) {
 	}
 }
 
-func TestExecuteBackendOption(t *testing.T) {
+// TestTrainIgnoresBackendOptions: a tree fit picks its split path from
+// its row count alone, so the former backend= and bins= train options
+// are ignored like any unknown option. On 420 training rows of one
+// continuous feature they used to force 4-bin histograms and so a
+// different forest; now the Result and the saved artifact equal those of
+// the statement without them.
+func TestTrainIgnoresBackendOptions(t *testing.T) {
 	tr, te := split(messyTable(600, 9), 7)
 	src := `pipeline "x"
 impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-khot "lst"
-train model=random_forest target="y" trees=10 backend=%s bins=64
+drop "cat"
+drop "lst"
+train model=random_forest target="y" trees=10%s
 evaluate metric=auto
 `
-	for _, backend := range []string{"exact", "hist", "auto"} {
-		p := mustParse(t, strings.Replace(src, "%s", backend, 1))
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: 2}
-		res, err := ex.Execute(p, tr, te)
+	fit := func(opts string) (*Result, []byte) {
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: 2, CapturePredictions: true}
+		res, fp, err := ex.Fit(mustParse(t, fmt.Sprintf(src, opts)), tr, te)
 		if err != nil {
-			t.Fatalf("backend=%s: %v", backend, err)
+			t.Fatalf("train%s: %v", opts, err)
 		}
-		if res.TestAcc < 85 {
-			t.Fatalf("backend=%s: test accuracy = %g", backend, res.TestAcc)
+		var buf bytes.Buffer
+		if err := fp.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
+		res.Program = nil // the two sources differ by the options
+		return res, buf.Bytes()
 	}
-	p := mustParse(t, strings.Replace(src, "%s", "quantum", 1))
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
-	_, err := ex.Execute(p, tr, te)
-	var re *RuntimeError
-	if !errors.As(err, &re) || re.Code != ErrBadOption {
-		t.Fatalf("want E_BAD_OPTION for bad backend, got %v", err)
+	wantRes, wantArt := fit("")
+	gotRes, gotArt := fit(" backend=hist bins=4")
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("result with backend=hist bins=4:\n%+v\nwithout:\n%+v", gotRes, wantRes)
+	}
+	if !bytes.Equal(gotArt, wantArt) {
+		t.Fatal("artifact with backend=hist bins=4 differs from the one without")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"catdb/internal/data"
+	"catdb/internal/ml"
 	"catdb/internal/obs"
 )
 
@@ -221,14 +222,14 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 	}
 	out := &Predictions{Rows: len(X), Task: fp.Task, Classes: fp.Classes}
 	if fp.Task == data.Regression.String() {
-		reg, ok := m.(regressorIface)
+		reg, ok := m.(ml.Regressor)
 		if !ok {
 			return nil, artErr(ErrArtifactModel, "model kind %q cannot do regression", fp.Model.Kind)
 		}
 		out.Values = reg.Predict(X)
 		return out, nil
 	}
-	clf, ok := m.(classifierIface)
+	clf, ok := m.(ml.Classifier)
 	if !ok {
 		return nil, artErr(ErrArtifactModel, "model kind %q cannot classify", fp.Model.Kind)
 	}

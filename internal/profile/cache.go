@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"catdb/internal/data"
@@ -30,7 +29,7 @@ type Cache struct {
 // out of the options: the profiler guarantees bit-identical output at any
 // worker count, so concurrency must not fragment the cache.
 type cacheKey struct {
-	content uint64
+	content uint64 // data.Table.ContentHash
 	rows    int
 	cols    int
 	dataset string
@@ -71,7 +70,7 @@ func (c *Cache) Table(t *data.Table, target string, task data.Task, opts Options
 	norm := opts.withDefaults()
 	norm.Workers = 0
 	key := cacheKey{
-		content: tableHash(t),
+		content: t.ContentHash(),
 		rows:    t.NumRows(),
 		cols:    len(t.Cols),
 		dataset: t.Name,
@@ -132,57 +131,4 @@ func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// tableHash is FNV-1a over the full table content: per column its name,
-// kind, and every cell (value bits plus missing flag). One O(cells) pass —
-// negligible next to the profiling it deduplicates.
-func tableHash(t *data.Table) uint64 {
-	h := newFNV()
-	h.str(t.Name)
-	for _, c := range t.Cols {
-		h.str(c.Name)
-		h.u64(uint64(c.Kind))
-		n := c.Len()
-		h.u64(uint64(n))
-		for i := 0; i < n; i++ {
-			if c.IsMissing(i) {
-				h.u64(1)
-				continue
-			}
-			h.u64(0)
-			if c.Kind == data.KindString {
-				h.str(c.Str(i))
-			} else {
-				h.u64(math.Float64bits(c.Num(i)))
-			}
-		}
-	}
-	return uint64(*h)
-}
-
-type fnv uint64
-
-func newFNV() *fnv {
-	h := fnv(1469598103934665603)
-	return &h
-}
-
-func (h *fnv) u64(x uint64) {
-	v := uint64(*h)
-	for i := 0; i < 8; i++ {
-		v = (v ^ (x & 0xff)) * 1099511628211
-		x >>= 8
-	}
-	*h = fnv(v)
-}
-
-func (h *fnv) str(s string) {
-	v := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		v = (v ^ uint64(s[i])) * 1099511628211
-	}
-	// Length terminator so ("ab","c") and ("a","bc") hash differently.
-	*h = fnv(v)
-	h.u64(uint64(len(s)))
 }
