@@ -127,10 +127,10 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
-# the baseline blocks in those files are preserved. Every lane but data
-# repeats each benchmark (-count=5): benchjson folds the repeats into
-# medians, records the ns/op range beside them, and marks a speedup
-# "(noise)" when the ranges overlap.
+# the baseline blocks in those files are preserved. Every lane repeats
+# each benchmark (-count=5): benchjson folds the repeats into medians,
+# records the ns/op range beside them, and marks a speedup "(noise)"
+# when the ranges overlap.
 #
 # Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
 # (lanes: data, ingest, dag — see internal/bench/baseline). The summary
@@ -140,8 +140,8 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
-	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
-	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
+	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
+	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	$(GO) test -run='^$$' -bench=Predict -benchtime=300x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json

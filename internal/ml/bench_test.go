@@ -139,6 +139,7 @@ func sink(v float64) {
 // execute step of every generated pipeline pays (Alg. 4).
 func BenchmarkMLForestFitClass(b *testing.B) {
 	X, yc, _ := benchData()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
@@ -151,6 +152,7 @@ func BenchmarkMLForestFitClass(b *testing.B) {
 // BenchmarkMLForestFitReg is the cold regression-forest fit.
 func BenchmarkMLForestFitReg(b *testing.B) {
 	X, _, yr := benchData()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := f.Fit(X, yr); err != nil {
@@ -174,6 +176,62 @@ func BenchmarkMLForestFitExactClass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
+			b.Fatal(err)
+		}
+		sink(f.Proba(X[:1])[0][0])
+	}
+}
+
+// wideClass* size the classification fit of one gen-repair validation
+// sample (the EU-IT shape): 170 rows × 62 features, 17 continuous beside
+// 45 one-hot columns in 5 groups of 9, and 10 classes. Most features are
+// 2-valued and the continuous ones near-unique.
+const (
+	wideClassRows       = 170
+	wideClassContinuous = 17
+	wideClassGroups     = 5
+	wideClassLevels     = 9
+	wideClassClasses    = 10
+)
+
+// wideClassData builds the gen-repair-shaped matrix with a 10-class label
+// that depends on continuous and one-hot columns, with 10% label noise.
+func wideClassData(seed int64) ([][]float64, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	d := wideClassContinuous + wideClassGroups*wideClassLevels
+	X := make([][]float64, wideClassRows)
+	y := make([]int, wideClassRows)
+	for i := range X {
+		row := make([]float64, d)
+		for j := 0; j < wideClassContinuous; j++ {
+			row[j] = rng.NormFloat64()
+		}
+		s := row[0] + 0.5*row[1]
+		for g := 0; g < wideClassGroups; g++ {
+			level := rng.Intn(wideClassLevels)
+			row[wideClassContinuous+g*wideClassLevels+level] = 1
+			if g < 2 {
+				s += 0.5 * float64(level%3)
+			}
+		}
+		c := min(max(int((s+2)*wideClassClasses/6), 0), wideClassClasses-1)
+		if rng.Float64() < 0.1 {
+			c = rng.Intn(wideClassClasses)
+		}
+		X[i], y[i] = row, c
+	}
+	return X, y
+}
+
+// BenchmarkMLForestFitExactWideClass is the 50-tree classification
+// forest one τ₂ attempt of a gen-repair cell fits on its validation
+// sample: few rows, many mostly one-hot features, many classes.
+func BenchmarkMLForestFitExactWideClass(b *testing.B) {
+	X, y := wideClassData(42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForest(ForestConfig{Trees: 50, Seed: 7, Workers: 1})
+		if err := f.FitClass(X, y, wideClassClasses); err != nil {
 			b.Fatal(err)
 		}
 		sink(f.Proba(X[:1])[0][0])
@@ -214,6 +272,7 @@ func BenchmarkMLForestFitHistWide(b *testing.B) {
 // classes tree fits over the same matrix).
 func BenchmarkMLGBMFitClass(b *testing.B) {
 	X, yc, _ := benchData()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
 		if err := g.FitClass(X, yc, benchClasses); err != nil {
@@ -226,6 +285,7 @@ func BenchmarkMLGBMFitClass(b *testing.B) {
 // BenchmarkMLGBMFitReg is the cold least-squares boosted fit.
 func BenchmarkMLGBMFitReg(b *testing.B) {
 	X, _, yr := benchData()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
 		if err := g.Fit(X, yr); err != nil {
@@ -238,6 +298,7 @@ func BenchmarkMLGBMFitReg(b *testing.B) {
 // BenchmarkMLExtraTreesFitClass is the cold extra-trees fit.
 func BenchmarkMLExtraTreesFitClass(b *testing.B) {
 	X, yc, _ := benchData()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewExtraTrees(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
 		if err := e.FitClass(X, yc, benchClasses); err != nil {

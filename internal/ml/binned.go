@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,6 +40,55 @@ func binnedFor(X [][]float64) *binnedMatrix {
 		return nil
 	}
 	return newBinnedMatrix(X)
+}
+
+// rankedFor is the other side of binnedFor's rule for classification:
+// the rank matrix every tree of a classification fit below histMinRows
+// shares, so its exact sweep can count classes per rank instead of
+// sorting. Regression fits (classes == 0) and histogram fits get nil.
+func rankedFor(X [][]float64, classes int) *rankMatrix {
+	if classes == 0 || len(X) >= histMinRows {
+		return nil
+	}
+	return newRankMatrix(X)
+}
+
+// rankMatrix is the read-only rank form of an exact classification fit.
+// For each feature without a NaN it holds every row's dense rank among
+// the fit's distinct values, compared by == so that −0 and +0 share a
+// rank, and those values in ascending order. A feature with a NaN has no
+// ranks: where pdqsort leaves a NaN depends on its comparison history,
+// which counting cannot reproduce, so that feature sorts at every node.
+// Ranks fit in uint16 because the fit has fewer than histMinRows rows.
+type rankMatrix struct {
+	ranks [][]uint16  // feature-major: ranks[f][row]; nil for a feature with a NaN
+	vals  [][]float64 // ascending distinct values of each ranked feature
+}
+
+func newRankMatrix(X [][]float64) *rankMatrix {
+	n, d := len(X), len(X[0])
+	rk := &rankMatrix{ranks: make([][]uint16, d), vals: make([][]float64, d)}
+	codes := make([]uint16, n*d)
+	order := make([]int, n)
+	for f := 0; f < d; f++ {
+		if slices.ContainsFunc(X, func(row []float64) bool { return math.IsNaN(row[f]) }) {
+			continue
+		}
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(X[a][f], X[b][f]) })
+		ranks := codes[f*n : (f+1)*n]
+		vals := []float64{X[order[0]][f]}
+		for _, r := range order {
+			if v := X[r][f]; v != vals[len(vals)-1] {
+				vals = append(vals, v)
+			}
+			ranks[r] = uint16(len(vals) - 1)
+		}
+		rk.ranks[f], rk.vals[f] = ranks, vals
+	}
+	return rk
 }
 
 // newBinnedMatrix quantile-bins X into at most maxHistBins codes per

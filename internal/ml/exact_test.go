@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -325,5 +326,112 @@ func TestTreeClassLimit(t *testing.T) {
 	}
 	if got := tr.Predict([][]float64{{0}, {1}}); got[0] != maxClasses-1 || got[1] != 1 {
 		t.Fatalf("predictions %v, want [%d 1]", got, maxClasses-1)
+	}
+}
+
+// TestRankSweepMatchesReference pins the count sweep to the sort.Slice
+// reference on the classification nodes TestExactSplitMatchesReference
+// draws: 1–600 rows, heavy ties, ±0 and ±Inf, out-of-range labels,
+// bagged duplicate rows, random leaf sizes, threshold strides and
+// feature fractions. The grower counts on a rank matrix built over each
+// trial's X. Features mix the tie pool with NaN (which must sort), the
+// same pool without NaN, small integers with both zeros, 0/1 one-hot
+// columns and near-unique normals, so nodes land on both sides of the
+// count/sort choice.
+// The chosen split and the RNG stream afterwards must match the
+// reference, and the rank scratch must be zero again.
+func TestRankSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	trials := 3000
+	if testing.Short() {
+		trials = 500
+	}
+	var counted, wide, unranked int
+	for trial := 0; trial < trials; trial++ {
+		rows := 1 + rng.Intn(600)
+		nf := 1 + rng.Intn(6)
+		kinds := make([]int, nf)
+		for f := range kinds {
+			kinds[f] = rng.Intn(5)
+		}
+		X := make([][]float64, rows)
+		for i := range X {
+			X[i] = make([]float64, nf)
+			for f, kind := range kinds {
+				v := tieValue(rng)
+				switch kind {
+				case 1:
+					for math.IsNaN(v) {
+						v = tieValue(rng)
+					}
+				case 2:
+					v = float64(rng.Intn(3))
+					if v == 2 {
+						v = math.Copysign(0, -1)
+					}
+				case 3:
+					v = float64(rng.Intn(2))
+				case 4:
+					v = rng.NormFloat64()
+				}
+				X[i][f] = v
+			}
+		}
+		classes := 2 + rng.Intn(9)
+		y := make([]float64, rows)
+		for i := range y {
+			if rng.Intn(30) == 0 {
+				y[i] = float64(classes + rng.Intn(2)) // out of range: ignored by the counts
+			} else {
+				y[i] = float64(rng.Intn(classes))
+			}
+		}
+		idx := make([]int, 1+rng.Intn(rows))
+		for i := range idx {
+			idx[i] = rng.Intn(rows)
+		}
+		cfg := TreeConfig{
+			MinLeaf:       1 + rng.Intn(6),
+			MaxThresholds: 1 + rng.Intn(64),
+			Seed:          rng.Int63(),
+		}
+		if rng.Intn(2) == 0 {
+			cfg.FeatureFrac = rng.Float64()
+		}
+		tree := NewTree(cfg)
+		tree.classes = classes
+
+		refRNG := rand.New(rand.NewSource(cfg.Seed))
+		wf, wthr, wok := refBestSplit(tree, X, y, idx, refRNG)
+		g := newGrower(tree, X, nil, y, nil, rand.New(rand.NewSource(cfg.Seed)))
+		g.yc, g.rk = classCodes(y, classes), newRankMatrix(X)
+		for f := range kinds {
+			switch {
+			case g.rk.ranks[f] == nil:
+				unranked++
+			case g.counted(f, len(idx)):
+				counted++
+			default:
+				wide++
+			}
+		}
+		gf, gthr, gok := g.bestSplit(idx)
+		if gf != wf || math.Float64bits(gthr) != math.Float64bits(wthr) || gok != wok {
+			t.Fatalf("trial %d (n=%d, kinds=%v, classes=%d, cfg=%+v): split (%d, %v, %v), reference (%d, %v, %v)",
+				trial, len(idx), kinds, classes, cfg, gf, gthr, gok, wf, wthr, wok)
+		}
+		if a, b := g.rng.Int63(), refRNG.Int63(); a != b {
+			t.Fatalf("trial %d: RNG state diverged from the reference", trial)
+		}
+		if slices.ContainsFunc(g.rankRows, func(v int) bool { return v != 0 }) ||
+			slices.ContainsFunc(g.rankCounts, func(v float64) bool { return v != 0 }) {
+			t.Fatalf("trial %d: rank scratch left non-zero", trial)
+		}
+	}
+	// Every path must be taken often: counted, sorted for its many
+	// distinct values, and sorted for a NaN.
+	if min(counted, wide, unranked) < trials/5 {
+		t.Fatalf("feature sweeps: %d counted, %d sorted for cardinality, %d sorted for NaN; want at least %d of each",
+			counted, wide, unranked, trials/5)
 	}
 }

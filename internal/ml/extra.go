@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 
 	"catdb/internal/pool"
 )
@@ -44,23 +45,25 @@ func (e *ExtraTrees) Fit(X [][]float64, y []float64) error {
 }
 
 // fit grows trees in parallel over bm (nil: raw thresholds), shared
-// read-only by every tree. Each tree derives its RNG from its index, so
-// the ensemble is bit-identical at any worker count. Only a panicking
-// tree fails the fit, which leaves the ensemble unfitted.
+// read-only by every tree. Each tree re-seeds its workspace's RNG from
+// its index, so the ensemble is bit-identical at any worker count; the
+// RNG, the bootstrap rows, the partition scratch and the node buffers
+// are reused across trees, as in Forest.fit. Only a panicking tree fails
+// the fit, which leaves the ensemble unfitted.
 func (e *ExtraTrees) fit(bm *binnedMatrix, X [][]float64, y []float64, classes int) error {
 	cfg := e.Config
 	e.classes = classes
 	e.trees = make([]*Tree, cfg.Trees)
 	n := len(y)
+	ws := sync.Pool{New: func() any { return &grower{rng: rand.New(rand.NewSource(0))} }}
 	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*104729))
-		rows := make([]int, n)
-		for r := range rows {
-			rows[r] = rng.Intn(n)
-		}
-		t := &Tree{classes: classes}
-		e.grow(t, X, bm, y, rows, make([]int, n), 0, rng)
+		g := ws.Get().(*grower)
+		rows := g.bootstrap(g.rng, cfg.Seed+int64(i)*104729, n)
+		t := &Tree{classes: classes, nodes: g.nodes[:0], vals: g.vals[:0]}
+		e.grow(t, X, bm, y, rows, g.buf, 0, g.rng)
+		g.keep(t)
 		e.trees[i] = t
+		ws.Put(g)
 		return nil
 	})
 	if err != nil {

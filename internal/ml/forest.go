@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 
 	"catdb/internal/pool"
 )
@@ -68,32 +69,43 @@ func (f *Forest) FitClass(X [][]float64, y []int, classes int) error {
 }
 
 // fit bags trees over bm (nil: the exact sweep), shared read-only across
-// every tree, as are the class codes built once here. Each tree seeds
-// its own RNG from its index, so the forest is identical at any worker
-// count; pool.Each runs the single-worker case without spawning
-// goroutines at all.
+// every tree, as are the rank matrix and the class codes built once here.
+// Each tree seeds its bootstrap draw and its splits from its index, so
+// the forest is identical at any worker count; pool.Each runs the
+// single-worker case without spawning goroutines at all. It names no
+// worker, so a task takes its workspace from a sync.Pool that ends with
+// the fit and puts it back once its tree is grown: a panicking task
+// drops its own.
 func (f *Forest) fit(bm *binnedMatrix, X [][]float64, yf []float64, classes int) error {
 	cfg := f.Config
 	n := len(yf)
 	f.classes = classes
+	f.trees = nil
+	if err := checkClasses(classes); err != nil {
+		return err
+	}
 	var yc []int16
 	if classes > 0 {
 		yc = classCodes(yf, classes)
 	}
+	rk := rankedFor(X, classes)
+	ws := sync.Pool{New: func() any {
+		g := newGrower(nil, X, bm, yf, nil, rand.New(rand.NewSource(0)))
+		g.yc, g.rk, g.boot = yc, rk, rand.New(rand.NewSource(0))
+		return g
+	}}
 	f.trees = make([]*Tree, cfg.Trees)
 	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		rows := make([]int, n)
-		for r := range rows {
-			rows[r] = rng.Intn(n)
-		}
+		g := ws.Get().(*grower)
 		t := NewTree(TreeConfig{
 			MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf,
 			FeatureFrac: cfg.FeatureFrac, Seed: cfg.Seed + int64(i),
 		})
-		err := t.fitRows(bm, X, yf, yc, classes, rows, nil)
+		t.classes = classes
+		g.fit(t, g.bootstrap(g.boot, cfg.Seed+int64(i)*7919, n))
 		f.trees[i] = t
-		return err
+		ws.Put(g)
+		return nil
 	})
 	if err != nil {
 		f.trees = nil

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"math/rand"
 
 	"catdb/internal/pool"
 )
@@ -87,14 +88,13 @@ func (g *GBM) fit(bm *binnedMatrix, X [][]float64, y []float64) error {
 		pred[i] = g.base
 	}
 	g.trees = nil
+	w := newGrower(nil, X, bm, resid, up, rand.New(rand.NewSource(0)))
 	for r := 0; r < g.Config.Rounds; r++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
 		t := g.newTree(g.Config.Seed + int64(r))
-		if err := t.fitRows(bm, X, resid, nil, 0, nil, up); err != nil {
-			return err
-		}
+		w.fit(t, w.allRows(n))
 		for i := range pred {
 			pred[i] += g.Config.LearningRate * up[i]
 		}
@@ -172,14 +172,13 @@ func (g *GBM) fitClass(bm *binnedMatrix, X [][]float64, y []int, classes int) er
 		grad := make([]float64, n)
 		up := make([]float64, n)
 		trees := make([]*Tree, 0, g.Config.Rounds)
+		w := newGrower(nil, X, bm, grad, up, rand.New(rand.NewSource(0)))
 		for r := 0; r < g.Config.Rounds; r++ {
 			for i := range grad {
 				grad[i] = target[i] - sigmoid(score[i])
 			}
 			t := g.newTree(g.Config.Seed + int64(c*1000+r))
-			if err := t.fitRows(bm, X, grad, nil, 0, nil, up); err != nil {
-				return err
-			}
+			w.fit(t, w.allRows(n))
 			for i := range score {
 				score[i] += g.Config.LearningRate * up[i]
 			}

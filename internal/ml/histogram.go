@@ -1,20 +1,26 @@
 package ml
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
-// grower is the per-tree construction state shared by both split
-// sweeps. It owns the tree's RNG, the optional binned matrix, a slab
-// free-list for histogram reuse, the exact sweep's sort buffer, the
-// partition scratch, and the optional per-row train prediction capture
-// used by boosting.
+// grower is one worker's tree-building workspace, and lasts one fit.
+// X, the binned or rank matrix, y and yc are the fit's, shared read-only
+// by all its workspaces. Everything else outlives each tree the
+// workspace grows and is reused by the next, so a tree allocates only
+// the exact-size copies of its nodes and leaf values that it keeps
+// (keep). Every tree of a fit has the fit's class count.
 type grower struct {
 	t    *Tree
 	X    [][]float64
 	bm   *binnedMatrix // nil = exact sweep at every node
+	rk   *rankMatrix   // nil = the exact sweep sorts every feature
 	y    []float64
 	yc   []int16   // classification labels (-1 = out of range), nil for regression
 	pred []float64 // optional: leaf value per training row (regression)
 	rng  *rand.Rand
+	boot *rand.Rand // bagged ensembles: draws each tree's rows
 
 	// Histogram slab management. A slab holds one histogram per feature,
 	// packed by each feature's own bin count: feature f's bins occupy
@@ -29,31 +35,104 @@ type grower struct {
 	scratchL []float64
 	scratchR []float64
 	totals   []float64
-	// Exact-sweep sort buffer, grown to the largest exact node so far:
-	// without a binned matrix that is the root, one allocation per tree.
+	// Exact-sweep sort buffer, grown to the largest sorted node so far.
 	arr []vy
+	// Rank-count scratch (rankSweep): rows and class counts per rank of
+	// one feature, all zero between sweeps.
+	rankRows   []int
+	rankCounts []float64
 	// Feature-sample buffer, refilled at every node (sampleFeatures).
 	feats []int
-	// Partition scratch as long as the root's rows (partitionThr,
-	// partitionCode), shared by every node of the tree.
-	buf []int
+	// The row index a tree grows on, and the partition scratch
+	// (partitionThr, partitionCode) as long as it: rowBuf sizes both.
+	rows []int
+	buf  []int
+	// Where the tree being grown appends its nodes and leaf values
+	// (keep).
+	nodes []node
+	vals  []float64
 }
 
+// newGrower returns a workspace over X (and bm) for targets y, capturing
+// each training row's leaf value into pred when it is non-nil, and
+// drawing feature samples from rng, which fit re-seeds per tree. t, when
+// non-nil, is the first tree it will grow.
 func newGrower(t *Tree, X [][]float64, bm *binnedMatrix, y []float64, pred []float64, rng *rand.Rand) *grower {
-	g := &grower{t: t, X: X, bm: bm, y: y, pred: pred, rng: rng}
-	if bm != nil {
-		g.statLen = 3
-		if t.classes > 0 {
-			g.statLen = t.classes
-		}
-		g.slabLen = bm.off[bm.features] * g.statLen
+	g := &grower{X: X, bm: bm, y: y, pred: pred, rng: rng}
+	if t != nil {
+		g.aim(t)
+	}
+	return g
+}
+
+// aim points the workspace at tree t, sizing the class scratch and the
+// slab layout at the first tree.
+func (g *grower) aim(t *Tree) {
+	first := g.t == nil
+	g.t = t
+	if !first {
+		return
 	}
 	if t.classes > 0 {
 		g.scratchL = make([]float64, t.classes)
 		g.scratchR = make([]float64, t.classes)
 		g.totals = make([]float64, t.classes)
 	}
-	return g
+	if g.bm != nil {
+		g.statLen = 3
+		if t.classes > 0 {
+			g.statLen = t.classes
+		}
+		g.slabLen = g.bm.off[g.bm.features] * g.statLen
+	}
+}
+
+// fit grows t over idx, which must come from rowBuf, and reorders it in
+// place. It re-seeds the workspace RNG from t's seed: rand.Rand.Seed
+// restarts the stream rand.NewSource(seed) starts, so a tree grows the
+// same on a fresh workspace or a reused one.
+func (g *grower) fit(t *Tree, idx []int) {
+	g.aim(t)
+	g.rng.Seed(t.Config.Seed)
+	t.nodes, t.vals = g.nodes[:0], g.vals[:0]
+	g.grow(idx, 0, nil)
+	g.keep(t)
+}
+
+// keep gives t exact-size copies of the nodes and leaf values it grew in
+// the workspace's buffers, and keeps the buffers for the next tree.
+func (g *grower) keep(t *Tree) {
+	g.nodes, g.vals = t.nodes, t.vals
+	t.nodes, t.vals = slices.Clone(t.nodes), slices.Clone(t.vals)
+}
+
+// rowBuf returns the workspace's row index cut to n rows, with partition
+// scratch to match.
+func (g *grower) rowBuf(n int) []int {
+	if cap(g.rows) < n {
+		g.rows, g.buf = make([]int, n), make([]int, n)
+	}
+	return g.rows[:n]
+}
+
+// allRows fills the row index with 0..n-1.
+func (g *grower) allRows(n int) []int {
+	rows := g.rowBuf(n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// bootstrap re-seeds rng and fills the row index with n draws from
+// [0,n): one tree's bag of rows, with repeats.
+func (g *grower) bootstrap(rng *rand.Rand, seed int64, n int) []int {
+	rng.Seed(seed)
+	rows := g.rowBuf(n)
+	for r := range rows {
+		rows[r] = rng.Intn(n)
+	}
+	return rows
 }
 
 // sampleFeatures draws the features a node examines: a random order of

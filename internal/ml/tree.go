@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // TreeConfig tunes CART construction.
@@ -149,36 +148,46 @@ func (t *Tree) FitClass(X [][]float64, y []int, classes int) error {
 	return t.fitRows(binnedFor(X), X, yf, classCodes(yf, classes), classes, nil, nil)
 }
 
-// fitRows is the one training entry point. bm is the fit's binned
-// matrix, or nil for the exact sweep at every node (binnedFor decides).
-// yc holds yf's class codes for a classification tree (classes > 0),
-// built once per fit. rows may be nil (all rows) or carry duplicates
-// (bagging); the tree grows on its own copy, since growth reorders it.
-// pred — regression only — captures each training row's leaf value
-// during growth so boosting needs no re-traversal of X after each round.
+// fitRows fits t alone, on a workspace of its own. bm is the fit's
+// binned matrix, or nil for the exact sweep at every node (binnedFor
+// decides). yc holds yf's class codes for a classification tree
+// (classes > 0), built once per fit. rows may be nil (all rows) or carry
+// duplicates (bagging); the tree grows on the workspace's copy, since
+// growth reorders it. pred — regression only — captures each training
+// row's leaf value during growth.
 func (t *Tree) fitRows(bm *binnedMatrix, X [][]float64, yf []float64, yc []int16, classes int, rows []int, pred []float64) error {
-	if classes > maxClasses {
-		return fmt.Errorf("ml: %d classes exceed the tree limit of %d", classes, maxClasses)
+	if err := checkClasses(classes); err != nil {
+		return err
 	}
 	t.classes = classes
-	idx := slices.Clone(rows)
+	n := len(rows)
 	if rows == nil {
-		idx = allRows(len(yf))
+		n = len(yf)
 	}
-	if len(idx) == 0 {
+	if n == 0 {
 		return fmt.Errorf("ml: no training rows")
 	}
 	g := newGrower(t, X, bm, yf, pred, rand.New(rand.NewSource(t.Config.Seed)))
-	g.yc = yc
-	g.buf = make([]int, len(idx))
-	t.nodes, t.vals = nil, nil
-	g.grow(idx, 0, nil)
+	g.yc, g.rk = yc, rankedFor(X, classes)
+	idx := g.allRows(n)
+	if rows != nil {
+		copy(idx, rows)
+	}
+	g.fit(t, idx)
 	return nil
 }
 
 // maxClasses is the largest class count a tree accepts: both split
 // sweeps count classes from int16 label codes (classCodes).
 const maxClasses = math.MaxInt16
+
+// checkClasses refuses a class count past maxClasses.
+func checkClasses(classes int) error {
+	if classes > maxClasses {
+		return fmt.Errorf("ml: %d classes exceed the tree limit of %d", classes, maxClasses)
+	}
+	return nil
+}
 
 func errClasses(c int) error { return fmt.Errorf("ml: need at least 2 classes, got %d", c) }
 
@@ -225,14 +234,6 @@ func (t *Tree) Proba(X [][]float64) [][]float64 {
 	return out
 }
 
-func allRows(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // labelFloats converts class labels to the float targets trees fit.
 func labelFloats(y []int) []float64 {
 	yf := make([]float64, len(y))
@@ -248,7 +249,9 @@ type vy struct{ v, y float64 }
 // bestSplit scans (a sample of) features for the impurity-minimizing
 // split using a sort-and-sweep: rows are ordered by feature value once and
 // prefix statistics give each candidate boundary's gain in O(1). The sort
-// buffer and class counts are the grower's, reused by every node.
+// buffer and class counts are the workspace's, reused by every node. A
+// classification feature the fit has ranked counts instead of sorting
+// when that is cheaper (counted, rankSweep), with the same result.
 //
 // A feature constant over the node has no split. Filling the buffer
 // already shows when every value compares equal to the first; then none
@@ -269,6 +272,12 @@ func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 	// Classification sweep state.
 	leftCounts, rightCounts := g.scratchL, g.scratchR
 	for _, f := range feats {
+		if g.counted(f, n) {
+			if gain, fthr, found := g.rankSweep(idx, f, parentImp, bestGain); found {
+				bestGain, feat, thr, ok = gain, f, fthr, true
+			}
+			continue
+		}
 		first, same := X[idx[0]][f], true
 		for i, r := range idx {
 			v := X[r][f]
@@ -352,6 +361,99 @@ func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
 		}
 	}
 	return feat, thr, ok
+}
+
+// rankCountRatio bounds the count sweep: a node counts feature f per
+// rank only while f's distinct values times the classes are at most this
+// many times its rows, since every rank is visited and every non-empty
+// one adds its class counts. A near-unique feature at a small node sorts.
+const rankCountRatio = 16
+
+// counted reports whether the sweep over feature f at a node of n rows
+// counts per rank (rankSweep) rather than sorting: f must be ranked (no
+// NaN in the fit) and have few distinct values next to n.
+func (g *grower) counted(f, n int) bool {
+	if g.rk == nil || g.rk.ranks[f] == nil {
+		return false
+	}
+	return len(g.rk.vals[f])*g.t.classes <= rankCountRatio*n
+}
+
+// rankSweep is the exact classification sweep over feature f without a
+// sort. It counts the node's rows and class codes per rank of the fit,
+// then walks the non-empty ranks in order, adding each rank's counts to
+// the left side. The boundary before a non-empty rank is the sorted
+// sweep's boundary at p, the rows of the ranks before it, and it is
+// evaluated under the same MinLeaf, stride and nextEval rules; the right
+// side is the node's totals (impurity) minus the left. The result is the
+// sorted sweep's, bit for bit:
+//   - class counts at a value boundary do not depend on tie order, and
+//     they are small integers, exact in float64;
+//   - which positions are evaluated depends only on the group sizes;
+//   - a rank's value stands for every row in it: only −0 and +0 share a
+//     rank with different bits, and either gives the same midpoint
+//     against any nonzero neighbour;
+//   - a row whose label is out of range counts toward p but toward no
+//     class, as in the sorted sweep.
+//
+// It returns the best gain over bestGain with its threshold, and leaves
+// the rank scratch zero.
+func (g *grower) rankSweep(idx []int, f int, parentImp, bestGain float64) (gain, thr float64, ok bool) {
+	t := g.t
+	classes := t.classes
+	ranks, vals := g.rk.ranks[f], g.rk.vals[f]
+	d := len(vals)
+	if len(g.rankRows) < d {
+		g.rankRows = make([]int, d)
+	}
+	if len(g.rankCounts) < d*classes {
+		g.rankCounts = make([]float64, d*classes)
+	}
+	rows, counts := g.rankRows[:d], g.rankCounts[:d*classes]
+	for _, r := range idx {
+		k := int(ranks[r])
+		rows[k]++
+		if c := g.yc[r]; c >= 0 {
+			counts[k*classes+int(c)]++
+		}
+	}
+	n := len(idx)
+	stride := 1
+	if n > t.Config.MaxThresholds*2 {
+		stride = n / t.Config.MaxThresholds
+	}
+	minLeaf := t.Config.MinLeaf
+	left, right := g.scratchL, g.scratchR
+	clear(left)
+	gain = bestGain
+	nextEval := minLeaf
+	p, prev := 0, 0
+	for k, m := range rows {
+		if m == 0 {
+			continue
+		}
+		// The first non-empty rank is no boundary: p = 0 < minLeaf.
+		if p >= nextEval && p >= minLeaf && n-p >= minLeaf {
+			nextEval = p + stride
+			for c, v := range g.totals {
+				right[c] = v - left[c]
+			}
+			gL := giniFromCounts(left, float64(p))
+			gR := giniFromCounts(right, float64(n-p))
+			if s := parentImp - (float64(p)*gL+float64(n-p)*gR)/float64(n); s > gain+1e-12 {
+				gain, thr, ok = s, (vals[prev]+vals[k])/2, true
+			}
+		}
+		kc := counts[k*classes : (k+1)*classes]
+		for c, v := range kc {
+			left[c] += v
+		}
+		clear(kc)
+		rows[k] = 0
+		p += m
+		prev = k
+	}
+	return gain, thr, ok
 }
 
 func giniFromCounts(counts []float64, n float64) float64 {
