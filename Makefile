@@ -79,10 +79,10 @@ lint-transform:
 		exit 1; \
 	fi
 
-# Op metadata (arity, column footprint, barriers, handlers) lives in one
-# registry (pipescript/optable.go) consumed by the parser, executor,
-# analyzer, and DAG scheduler. Fail on any op dispatch switch in the
-# executor sources or any knownOps registration outside the registry.
+# Op metadata (arity, column footprint, handlers) lives in one registry
+# (pipescript/optable.go) consumed by the parser, executor and analyzer.
+# Fail on any op dispatch switch in the executor sources or any knownOps
+# registration outside the registry.
 lint-dag:
 	@matches=$$(grep -nE 'switch (st|stmt)\.Op' internal/pipescript/exec.go internal/pipescript/ops_extra.go); \
 	if [ -n "$$matches" ]; then \
@@ -97,14 +97,15 @@ lint-dag:
 		exit 1; \
 	fi
 
-# Op bodies and the serving path are plain serial row loops: the only
-# fan-out in internal/pipescript is the statement DAG's wave scheduler
-# (schedule.go), bounded by Workers. Fail on raw pool fan-outs or
-# goroutines in the op-body, executor and serving sources.
+# Statements run one at a time in program order, and op bodies and the
+# serving path are plain serial row loops: nothing in internal/pipescript
+# fans out. Model fits and inference parallelize inside internal/ml,
+# bounded by Workers. Fail on raw pool fan-outs or goroutines in any
+# non-test source of the package.
 lint-fanout:
-	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/exec.go internal/pipescript/transform.go); \
+	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' $$(ls internal/pipescript/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-fanout: raw parallelism in op bodies (only the DAG scheduler fans out):"; \
+		echo "lint-fanout: raw parallelism in internal/pipescript (model parallelism lives in internal/ml):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -133,20 +134,20 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 # when the ranges overlap.
 #
 # Two-pass lanes select their reference pass with BENCH_BASELINE=<lane>
-# (lanes: data, ingest, dag — see internal/bench/baseline). The summary
-# and shard lanes are single passes: their baseline blocks are earlier
-# captures (the map-based summary; row sharding), which benchjson
-# preserves.
+# (lanes: data, ingest — see internal/bench/baseline). The summary and
+# exec lanes are single passes: their baseline blocks are earlier
+# captures (the map-based summary; the statement DAG), which benchjson
+# preserves. The predict lane runs its 500k-row batch at its own
+# iteration count and folds both runs into one file.
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
-	$(GO) test -run='^$$' -bench=Predict -benchtime=300x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
+	{ $(GO) test -run='^$$' -bench='^BenchmarkPredict(SingleRow|Batch)$$' -benchtime=300x -count=5 ./internal/pipescript/; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Summary -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_summary.json
-	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
-	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x -count=5 ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
-	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json
+	$(GO) test -run='^$$' -bench='^BenchmarkExec' -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_exec.json

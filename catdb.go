@@ -253,20 +253,21 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 // pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
 type ExecOptions struct {
 	// Workers is the one execution knob: it bounds the goroutines of
-	// each statement-DAG wave and of the tree/KNN model fits and
-	// inference (0 = all cores, 1 = serial). Results and fitted
-	// artifacts are bit-identical at any value; only wall time changes.
+	// the tree/KNN model fits and inference (0 = all cores, 1 =
+	// serial). Statements run one at a time in program order. Results
+	// and fitted artifacts are bit-identical at any value; only wall
+	// time changes.
 	Workers int
 	// Metrics, when set, records execution counters and latency
-	// histograms (catdb_pipescript_*, catdb_dag_*) into the registry —
-	// the same registry an ops server serves at /metrics. Nil disables
-	// recording with zero overhead.
+	// histograms (catdb_pipescript_*) into the registry — the same
+	// registry an ops server serves at /metrics. Nil disables recording
+	// with zero overhead.
 	Metrics *Metrics
-	// TraceSpan, when set, parents the execution's span tree (exec →
-	// dag-segment → dag-wave → dag-node) under an existing span, so live
-	// ops-plane views and the critical-path/flamegraph exporters see
-	// inside pipeline execution. Observation only: results are
-	// bit-identical with or without it.
+	// TraceSpan, when set, parents one stmt span per executed statement
+	// (op and line attributes) under an existing span, so live ops-plane
+	// views and the critical-path/flamegraph exporters see inside
+	// pipeline execution. Observation only: results are bit-identical
+	// with or without it.
 	TraceSpan *Span
 }
 
@@ -313,20 +314,6 @@ func FitPipelineWith(source string, train, test *Table, target string, task Task
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
 		Workers: opts.Workers, Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Fit(prog, train, test)
-}
-
-// RenderPipelineDAG renders the dependency-DAG execution plan of a
-// pipeline over the given initial columns: segments of parallel waves
-// separated by serial barriers, with per-statement column dependencies.
-// It is a static preview of what the executor schedules; segments whose
-// references cannot be statically resolved are marked serial (they run
-// statement by statement at run time).
-func RenderPipelineDAG(source string, cols []string, target string) (string, error) {
-	prog, err := pipescript.Parse(source)
-	if err != nil {
-		return "", err
-	}
-	return pipescript.RenderDAG(prog, cols, target), nil
 }
 
 // Predict applies a fitted-pipeline artifact to a batch of raw rows:

@@ -320,8 +320,7 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	refine := fs.Bool("refine", false, "apply catalog refinement before running (use when the pipeline was generated without -no-refine)")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
-	workers := fs.Int("workers", 0, "goroutines for statement-DAG waves and model fitting (0 = all cores, 1 = serial; results are bit-identical at any value)")
-	dagPlan := fs.Bool("dag-plan", false, "print the DAG execution plan (waves, barriers, dependencies) before running")
+	workers := fs.Int("workers", 0, "goroutines for model fitting and inference (0 = all cores, 1 = serial; results are bit-identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -335,13 +334,6 @@ func cmdRun(args []string) error {
 	src, err := os.ReadFile(*pipe)
 	if err != nil {
 		return err
-	}
-	if *dagPlan {
-		plan, perr := catdb.RenderPipelineDAG(string(src), tr.ColumnNames(), ds.Target)
-		if perr != nil {
-			return perr
-		}
-		fmt.Print(plan)
 	}
 	res, err := catdb.ExecutePipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
 		catdb.ExecOptions{Workers: *workers})
@@ -402,7 +394,7 @@ func cmdFit(args []string) error {
 	refine := fs.Bool("refine", false, "apply catalog refinement before fitting")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
 	out := fs.String("out", "model.catdb.json", "fitted-pipeline artifact output path")
-	workers := fs.Int("workers", 0, "goroutines for statement-DAG waves and model fitting (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
+	workers := fs.Int("workers", 0, "goroutines for model fitting and inference (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while fitting (/metrics, /api/spans, /debug/pprof; the artifact is byte-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err

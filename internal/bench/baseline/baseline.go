@@ -5,8 +5,8 @@
 //
 //	BENCH_BASELINE=<lane>
 //
-// where <lane> names the subsystem: "data" (deep-copy gather), "ingest"
-// (serial single-chunk parse), or "dag" (linear statement execution).
+// where <lane> names the subsystem: "data" (deep-copy gather) or
+// "ingest" (serial single-chunk parse).
 //
 // The package is a leaf (it imports only os) so bench files anywhere —
 // including internal/data, which internal/bench itself imports — can

@@ -48,10 +48,10 @@ func TestTracedRunBitIdentical(t *testing.T) {
 // full live ops plane: one arm runs bare, the other runs with tracer,
 // metrics, a sampling runtime collector, AND an attached debug HTTP
 // server being actively scraped (/metrics, /api/spans,
-// /api/critical-path) while the run is in flight. The executor's
-// default DAG scheduling emits dag-wave/dag-node spans, so that emission
-// is exercised under concurrent snapshots. Everything except wall-clock
-// durations must match exactly.
+// /api/critical-path) while the run is in flight. The executor emits
+// one stmt span per statement, so that emission is exercised under
+// concurrent snapshots. Everything except wall-clock durations must
+// match exactly.
 func TestOpsServerRunBitIdentical(t *testing.T) {
 	ds := loadDS(t, "CMC", 0.5)
 	run := func(ops bool) *Result {
@@ -133,13 +133,22 @@ func TestTracedRunRecordsSpansAndMetrics(t *testing.T) {
 		t.Fatalf("want a span tree rooted at run, got %d spans", len(spans))
 	}
 	names := map[string]bool{}
+	nameOf := map[int]string{} // spans come in start order: parents first
+	trainUnderExec := false
 	for _, s := range spans {
 		names[s.Name] = true
+		nameOf[s.ID] = s.Name
+		if s.Name == "stmt" && s.Attrs["op"] == "train" && nameOf[s.Parent] == "exec" {
+			trainUnderExec = true
+		}
 	}
 	for _, want := range []string{"profile", "prompt-build", "generate", "final-validate", "exec"} {
 		if !names[want] {
 			t.Errorf("missing %q span in %v", want, names)
 		}
+	}
+	if !trainUnderExec {
+		t.Error("no train stmt span under exec: the executor must open one span per statement")
 	}
 	if got := r.Metrics.Counter("catdb_llm_calls_total", "model", "gemini-1.5-pro").Value(); got == 0 {
 		t.Error("catdb_llm_calls_total not recorded")

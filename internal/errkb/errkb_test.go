@@ -37,6 +37,7 @@ func TestClassifyRuntime(t *testing.T) {
 		{pipescript.ErrModelOOM, CategoryRE, "MemoryError"},
 		{pipescript.ErrTooManyFeatures, CategoryRE, "FeatureExplosionError"},
 		{pipescript.ErrNoTrainStmt, CategoryRE, "NoTrainError"},
+		{pipescript.ErrOpPanic, CategoryRE, "ValueError"},
 	}
 	for _, tc := range cases {
 		err := &pipescript.RuntimeError{Line: 3, Code: tc.code, Msg: "m"}

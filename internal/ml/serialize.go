@@ -165,6 +165,9 @@ func loadScaler(d *ScalerDump, kind string) (*scaler, error) {
 	if d == nil {
 		return nil, fmt.Errorf("ml: %s dump is missing its scaler", kind)
 	}
+	if len(d.Mean) != len(d.Std) {
+		return nil, fmt.Errorf("ml: %s scaler has %d means for %d deviations", kind, len(d.Mean), len(d.Std))
+	}
 	return &scaler{mean: d.Mean, std: d.Std}, nil
 }
 

@@ -95,8 +95,9 @@ type PathNode struct {
 
 // CriticalPath walks the span hierarchy along the chain that determined
 // the trace's wall time: starting from the latest-finishing root, each
-// hop descends into the latest-finishing child — under the DAG wave
-// scheduler that is the longest chain through the concurrent waves.
+// hop descends into the latest-finishing child — under concurrent
+// children (the bench harness's cells) that is the longest chain
+// through them.
 // Self on each node is its duration minus the chosen child's, so the
 // Self column answers "where would shaving time actually shorten the
 // run". Returns nil on an empty (or nil) tracer.

@@ -138,13 +138,11 @@ func Analyze(p *Program, cols []ColumnInfo, task data.Task) []Issue {
 		if spec.refs == nil {
 			continue
 		}
-		// Footprint checks driven by the same refs the DAG scheduler
-		// uses. The "" target omits implicit target reads — target
+		// Footprint checks driven by the op registry's refs. Target
 		// existence is train's concern, checked above.
-		r := spec.refs(stmt, "")
-		need := make([]string, 0, len(r.reads)+len(r.writes)+len(r.removes))
+		r := spec.refs(stmt)
+		need := make([]string, 0, len(r.reads)+len(r.removes))
 		need = append(need, r.reads...)
-		need = append(need, r.writes...)
 		need = append(need, r.removes...)
 		resolved := true
 		checked := map[string]bool{}

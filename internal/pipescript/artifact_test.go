@@ -466,6 +466,40 @@ evaluate metric=auto
 	}
 }
 
+// TestPredictCorruptScaler pins containment for a linear-model artifact
+// whose scaler has fewer deviations than means: Predict returns
+// E_ARTIFACT_MODEL instead of indexing past the deviations.
+func TestPredictCorruptScaler(t *testing.T) {
+	src := `pipeline "scaler"
+impute "num" strategy=median
+target_encode "cat"
+train model=linear_regression target="y"
+`
+	tr, te := split(messyRegTable(300, 2), 5)
+	ex := &Executor{Target: "y", Task: data.Regression, Seed: 1}
+	_, fp := fitRoundTrip(t, ex, src, tr, te)
+	if len(fp.Features) != 3 {
+		t.Fatalf("features %v, want 3", fp.Features)
+	}
+	m := *fp.Model
+	m.Scaler = &ml.ScalerDump{Mean: []float64{0, 0, 0}, Std: []float64{1}}
+	bad := *fp
+	bad.Model, bad.model = &m, nil
+	var buf bytes.Buffer
+	if err := bad.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFittedPipeline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = back.Predict(te)
+	var ae *ArtifactError
+	if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+		t.Fatalf("err = %v, want artifact error %s", err, ErrArtifactModel)
+	}
+}
+
 func TestPredictRecordsMetrics(t *testing.T) {
 	src := `pipeline "obs"
 dedup_values "cat"

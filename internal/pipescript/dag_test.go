@@ -2,89 +2,50 @@ package pipescript
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"catdb/internal/data"
-	"catdb/internal/obs"
 )
+
+// These suites are named for the statement DAG they used to check
+// against a linear reference. The DAG is gone and statements run one at
+// a time in program order, so the axis that stays is the worker count,
+// which bounds the model fits and inference: the reference is the
+// one-worker run, and every other count must reproduce it.
 
 // dagWorkerCounts are the pool sizes every equivalence test sweeps.
 var dagWorkerCounts = []int{1, 2, 4, 8}
 
-// execBothWays runs the program through the linear reference and then
-// through the default executor at every worker count, requiring
-// bit-identical results and errors.
+// execBothWays runs the program with one worker and then at every
+// worker count, requiring bit-identical results and errors.
 func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
-	refReg := obs.NewRegistry()
-	lin := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, linear: true, Metrics: refReg}
-	wantRes, wantErr := lin.Execute(p, tr, te)
+	ref := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: 1}
+	wantRes, wantErr := ref.Execute(p, tr, te)
 	for _, w := range dagWorkerCounts {
-		reg := obs.NewRegistry()
-		dag := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w, Metrics: reg}
-		gotRes, gotErr := dag.Execute(p, tr, te)
-		checkScheduling(t, fmt.Sprintf("workers=%d", w), p, refReg, reg, gotErr)
+		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w}
+		gotRes, gotErr := ex.Execute(p, tr, te)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("workers=%d: linear err=%v dag err=%v", w, wantErr, gotErr)
+			t.Fatalf("workers=%d: reference err=%v got err=%v", w, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("workers=%d: error mismatch\nlinear: %v\ndag:    %v", w, wantErr, gotErr)
+				t.Fatalf("workers=%d: error mismatch\nreference: %v\ngot:       %v", w, wantErr, gotErr)
 			}
 			continue
 		}
 		a, b := *wantRes, *gotRes
 		a.Program, b.Program = nil, nil
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("workers=%d: result mismatch\nlinear: %+v\ndag:    %+v", w, a, b)
+			t.Fatalf("workers=%d: result mismatch\nreference: %+v\ngot:       %+v", w, a, b)
 		}
 	}
 	return wantRes, wantErr
-}
-
-// checkScheduling keeps the equivalence oracle from comparing the DAG
-// with itself: the reference run must have scheduled no segment, and
-// the default run must have scheduled one whenever it reached a segment
-// of more than one statement.
-func checkScheduling(t *testing.T, label string, p *Program, ref, got *obs.Registry, gotErr error) {
-	t.Helper()
-	if n := scheduledSegments(ref); n != 0 {
-		t.Fatalf("%s: linear reference scheduled %d segment(s)", label, n)
-	}
-	if reachesMultiStmtSegment(p, gotErr) && scheduledSegments(got) == 0 {
-		t.Fatalf("%s: default run scheduled no segment", label)
-	}
-}
-
-// scheduledSegments is catdb_dag_segments_total summed over its modes.
-func scheduledSegments(reg *obs.Registry) int64 {
-	return reg.Counter("catdb_dag_segments_total", "mode", "parallel").Value() +
-		reg.Counter("catdb_dag_segments_total", "mode", "linear").Value()
-}
-
-// reachesMultiStmtSegment reports whether an execution that ended with
-// err started a segment of more than one statement: a failing statement
-// stops execution at its line, so only segments starting at or before
-// that line ran.
-func reachesMultiStmtSegment(p *Program, err error) bool {
-	last := math.MaxInt
-	var re *RuntimeError
-	if errors.As(err, &re) {
-		last = re.Line
-	}
-	for _, seg := range segmentProgram(p, false) {
-		if len(seg.stmts) > 1 && seg.stmts[0].Line <= last {
-			return true
-		}
-	}
-	return false
 }
 
 func TestDAGMatchesLinearWidePipeline(t *testing.T) {
@@ -157,7 +118,7 @@ train model=linear_regression target="y"
 
 // Copy-on-write view inputs: SelectRows hands out row-mapped views that
 // share slabs with the source. Every write must promote privately, so
-// the source table is untouched and results match the linear reference.
+// the source table is untouched and results match the reference.
 func TestDAGMatchesLinearOnCoWViews(t *testing.T) {
 	source := messyTable(700, 6)
 	rows := make([]int, 0, 500)
@@ -181,9 +142,8 @@ train model=naive_bayes target="y"
 	}
 }
 
-// Errors must surface identically: unknown columns force the segment
-// onto the linear path (so messages embed the live column count), and
-// when several branches fail the lowest-line error wins.
+// Errors must surface identically: messages embed the live column
+// count, and when several statements would fail the lowest line wins.
 func TestDAGMatchesLinearErrors(t *testing.T) {
 	for _, src := range []string{
 		"pipeline \"e\"\nimpute \"nope\" strategy=median\ntrain target=\"y\"\n",
@@ -199,8 +159,8 @@ func TestDAGMatchesLinearErrors(t *testing.T) {
 	}
 }
 
-// The deferred one-hot feature-cap check must fire with the same error
-// at the same line as the linear immediate check.
+// The one-hot feature-cap check must fire with the same error at the
+// same line at every worker count.
 func TestDAGMatchesLinearFeatureCap(t *testing.T) {
 	n := 6000 // 0.7 split keeps 4200 distinct categories, over the 4096 cap
 	vals := make([]string, n)
@@ -226,9 +186,8 @@ train target="y"
 	}
 }
 
-// Fitted artifacts must serialize byte-identically whichever way the
-// pipeline executed: step order is the statement order, not the
-// completion order.
+// Fitted artifacts must serialize byte-identically at every worker
+// count: step order is the statement order.
 func TestDAGFitArtifactIdentical(t *testing.T) {
 	src := `pipeline "fit"
 impute "num" strategy=median
@@ -240,8 +199,8 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	lin := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true}
-	_, wantFP, err := lin.Fit(p, tr, te)
+	ref := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: 1}
+	_, wantFP, err := ref.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +209,8 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range dagWorkerCounts {
-		dag := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
-		_, gotFP, err := dag.Fit(p, tr, te)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
+		_, gotFP, err := ex.Fit(p, tr, te)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,14 +219,14 @@ train model=random_forest target="y" trees=10
 			t.Fatal(err)
 		}
 		if string(want) != string(got) {
-			t.Fatalf("workers=%d: artifact differs\nlinear: %s\ndag:    %s", w, want, got)
+			t.Fatalf("workers=%d: artifact differs\nreference: %s\ngot:       %s", w, want, got)
 		}
 	}
 }
 
-// Randomized programs over a mixed-type table: DAG scheduling must
-// reproduce linear execution (results and errors) at every worker
-// count, whatever the program shape.
+// Randomized programs over a mixed-type table must reproduce the
+// one-worker run (results and errors) at every worker count, whatever
+// the program shape.
 func TestDAGPropertyRandomPrograms(t *testing.T) {
 	mk := func() (*data.Table, *data.Table) {
 		n := 240
@@ -305,53 +264,8 @@ func TestDAGPropertyRandomPrograms(t *testing.T) {
 	}
 }
 
-// The scheduler's structural counters (nodes, waves, segments) are a
-// property of the DAG, not of the pool size: they must be identical at
-// every worker count.
-func TestDAGMetricsDeterministic(t *testing.T) {
-	src := `pipeline "m"
-impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-khot "lst"
-scale "num" method=standard
-train model=naive_bayes target="y"
-`
-	p := mustParse(t, src)
-	counters := func(w int) map[string]int64 {
-		tr, te := split(messyTable(300, 4), 5)
-		reg := obs.NewRegistry()
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: w, Metrics: reg}
-		if _, err := ex.Execute(p, tr, te); err != nil {
-			t.Fatal(err)
-		}
-		return map[string]int64{
-			"nodes_impute":  reg.Counter("catdb_dag_nodes_total", "op", "impute").Value(),
-			"nodes_onehot":  reg.Counter("catdb_dag_nodes_total", "op", "onehot").Value(),
-			"waves":         reg.Counter("catdb_dag_waves_total").Value(),
-			"seg_parallel":  reg.Counter("catdb_dag_segments_total", "mode", "parallel").Value(),
-			"seg_linear":    reg.Counter("catdb_dag_segments_total", "mode", "linear").Value(),
-			"execs":         reg.Counter("catdb_pipescript_execs_total").Value(),
-			"nodes_scale":   reg.Counter("catdb_dag_nodes_total", "op", "scale").Value(),
-			"nodes_dedup":   reg.Counter("catdb_dag_nodes_total", "op", "dedup_values").Value(),
-			"nodes_khot":    reg.Counter("catdb_dag_nodes_total", "op", "khot").Value(),
-			"nodes_missing": reg.Counter("catdb_dag_nodes_total", "op", "train").Value(), // train is a barrier: never a node
-		}
-	}
-	want := counters(1)
-	if want["nodes_onehot"] != 1 || want["seg_parallel"] != 1 || want["nodes_missing"] != 0 {
-		t.Fatalf("unexpected baseline counters: %+v", want)
-	}
-	for _, w := range dagWorkerCounts[1:] {
-		if got := counters(w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: counters diverge\nwant %+v\ngot  %+v", w, want, got)
-		}
-	}
-}
-
 // TestOpTableComplete pins the optable contract: every parseable op is
-// registered with a handler and either a footprint, a barrier rule, or
-// an explicit pure marker — the properties the DAG builder relies on.
+// registered with its parser arity and a handler.
 func TestOpTableComplete(t *testing.T) {
 	if len(knownOps) == 0 || len(knownOps) != len(opRegistry) {
 		t.Fatalf("knownOps (%d) and opRegistry (%d) out of sync", len(knownOps), len(opRegistry))
@@ -367,42 +281,5 @@ func TestOpTableComplete(t *testing.T) {
 		if spec.exec == nil {
 			t.Fatalf("op %q has no handler", name)
 		}
-		if !spec.pure && spec.refs == nil && spec.barrier == nil {
-			t.Fatalf("op %q declares neither refs nor barrier", name)
-		}
-	}
-}
-
-// Golden for the DAG topology rendering of a representative pipeline.
-func TestDAGRenderGolden(t *testing.T) {
-	p := mustParse(t, `pipeline "demo"
-impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-scale "num" method=standard
-impute_all strategy=auto
-hash_encode "cat2" buckets=8
-interaction "num" "num2" op=product
-train model=random_forest target="y" trees=20
-`)
-	got := RenderDAG(p, []string{"num", "num2", "cat", "cat2", "y"}, "y")
-	want := `dag "demo": 9 statement(s), 2 segment(s)
-segment 1: parallel (5 node(s), 2 wave(s))
-  wave 1:
-    [line 1] pipeline demo
-    [line 2] impute num strategy=median
-    [line 3] dedup_values cat
-  wave 2:
-    [line 4] onehot cat  <- line 3 (cat)
-    [line 5] scale num method=standard  <- line 2 (num)
-barrier [line 6] impute_all strategy=auto
-segment 2: parallel (2 node(s), 1 wave(s))
-  wave 1:
-    [line 7] hash_encode cat2 buckets=8
-    [line 8] interaction num num2 op=product
-barrier [line 9] train model=random_forest target=y trees=20
-`
-	if got != want {
-		t.Fatalf("render mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -18,6 +18,7 @@ const (
 	ErrTaskMismatch    = "E_TASK_MISMATCH"     // e.g. rebalance on regression (RE)
 	ErrModelOOM        = "E_MODEL_OOM"         // model exceeded its memory budget (RE)
 	ErrTooManyFeatures = "E_TOO_MANY_FEATURES" // encoder exploded the feature space (RE)
+	ErrOpPanic         = "E_OP_PANIC"          // an op body or the model code it called panicked (RE)
 )
 
 // RuntimeError is a pipeline execution failure (the paper's RE class, plus

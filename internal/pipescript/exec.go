@@ -58,22 +58,20 @@ type Executor struct {
 	// (disallowed models/packages raise E_POLICY).
 	Policy *Policy
 	// Workers is the one execution knob: it bounds the goroutines of
-	// each statement-DAG wave and of the tree/KNN model fits and
-	// inference (0 = GOMAXPROCS, 1 = serial). Independent statements run
-	// concurrently (schedule.go); every op body is one serial row loop.
-	// Results, fitted artifacts, errors, and metric counters are
-	// bit-identical at any setting.
+	// the tree/KNN model fits and inference (0 = GOMAXPROCS, 1 =
+	// serial). Statements run one at a time in program order, and every
+	// op body is one serial row loop. Results, fitted artifacts, errors,
+	// and metric counters are bit-identical at any setting.
 	Workers int
 	// Metrics, when set, records execution counts, latencies, and error
-	// codes (catdb_pipescript_*, catdb_dag_*) into the observability
-	// registry. Nil disables recording with zero overhead.
+	// codes (catdb_pipescript_*) into the observability registry. Nil
+	// disables recording with zero overhead.
 	Metrics *obs.Registry
-	// Span, when set, parents the DAG scheduler's span tree: one
-	// dag-segment span per parallel segment, dag-wave per Kahn wave,
-	// dag-node per executed statement — the hierarchy the critical-path
-	// and flamegraph exporters attribute wall time over. Spans observe
-	// only; results stay bit-identical with or without them. Nil (the
-	// default) disables recording with zero overhead.
+	// Span, when set, parents one stmt span per executed statement (op
+	// and line attributes), train included — the hierarchy the
+	// critical-path and flamegraph exporters attribute wall time over.
+	// Spans observe only; results stay bit-identical with or without
+	// them. Nil (the default) disables recording with zero overhead.
 	Span *obs.Span
 	// CapturePredictions copies the model's raw test-split outputs into
 	// Result.TestPredictions/TestLabels/TestProba (off by default: the
@@ -83,12 +81,6 @@ type Executor struct {
 	// record, when non-nil, collects fitted steps and the trained model
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
-
-	// linear is the serial reference the equivalence tests and the DAG
-	// benchmark's baseline pass compare against; only tests set it. It
-	// runs every statement on its own, in program order, instead of
-	// scheduling segments.
-	linear bool
 }
 
 // Execute validates and runs the program on copies of train/test. The
@@ -124,8 +116,10 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 	res := &Result{Program: p}
 
 	trained := false
-	if err := e.executeDAG(p, tr, te, maxOH, res, &trained); err != nil {
-		return nil, err
+	for _, st := range p.Stmts {
+		if err := e.execStmt(st, tr, te, maxOH, res, &trained); err != nil {
+			return nil, err
+		}
 	}
 	if !trained {
 		if e.AllowNoTrain {
@@ -143,10 +137,22 @@ func lastLine(p *Program) int {
 	return p.Stmts[len(p.Stmts)-1].Line
 }
 
-// execStmt dispatches one statement through the registered op table
-// (optable.go). tr/te are the real train/test tables on this path, so
-// every side effect applies immediately.
-func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool) error {
+// execStmt runs one statement through the registered op table
+// (optable.go) against the real train/test tables, under one stmt
+// span. A panic in the op body, or in model code the op calls, becomes
+// an E_OP_PANIC runtime error at the statement's line, so the repair
+// loop can re-prompt instead of the process crashing; the tables are
+// the executor's own clones and are discarded with the error.
+func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool) (err error) {
+	sp := e.Span.Child("stmt")
+	sp.SetStr("op", st.Op)
+	sp.SetInt("line", int64(st.Line))
+	defer func() {
+		if r := recover(); r != nil {
+			err = rtErr(st.Line, ErrOpPanic, "%s panicked: %v", st.Op, r)
+		}
+		sp.End()
+	}()
 	if err := e.policyCheck(st); err != nil {
 		return err
 	}

@@ -59,8 +59,8 @@ func (e *SyntaxError) Error() string {
 
 // knownOps maps statement keywords to their minimum positional arg
 // counts. It is populated exclusively by registerOp (optable.go), the
-// single source of op metadata shared by the parser, executor, static
-// analyzer, and DAG builder.
+// single source of op metadata shared by the parser, executor and static
+// analyzer.
 var knownOps = map[string]int{}
 
 // AvailablePackages is the pre-installed environment of the pipeline

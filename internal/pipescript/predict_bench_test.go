@@ -85,3 +85,48 @@ func BenchmarkPredictBatch(b *testing.B) {
 		b.ReportMetric(float64(512*b.N)/elapsed, "qps")
 	}
 }
+
+// BenchmarkPredictBatch500k measures batched serving at scale: one
+// artifact is fitted up front, then each iteration transforms and
+// scores a 500k-row batch through it (serial row loops, the feature
+// completeness check, the matrix build and 15-tree forest inference on
+// 4 workers). It was BenchmarkShardBatchScore in the row-shard lane.
+func BenchmarkPredictBatch500k(b *testing.B) {
+	const batchRows = 500_000
+	fitTab := chainTable(20_000)
+	labels := make([]string, 20_000)
+	for i := range labels {
+		labels[i] = []string{"no", "yes", "maybe"}[i%3]
+	}
+	fitTab.MustAddColumn(data.NewString("y", labels))
+	p, err := Parse(`pipeline "score"
+impute "num0" strategy=median
+scale "num0" method=standard
+impute "num1" strategy=mean
+impute "num2" strategy=median
+log_transform "num2"
+dedup_values "cat"
+onehot "cat"
+train model=random_forest target="y" trees=15
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, te := fitTab.Split(0.8, 7)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
+	_, fp, err := ex.Fit(p, tr, te)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp.Workers = 4
+	batch := chainTable(batchRows)
+	if _, err := fp.Predict(batch.Head(512)); err != nil { // warm the live model
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fp.Predict(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,17 +8,16 @@ import (
 	"testing"
 
 	"catdb/internal/data"
-	"catdb/internal/obs"
 )
 
 // These suites are named for the row-shard axis they used to sweep: a
 // shard was a row-range view of a column handed to one worker. Row
 // shards are gone and every op is one plain loop over the whole column,
 // so the axis that stays is how that column is stored. Each input runs
-// through the serial reference (linear statements, one worker, inputs
-// as Table.Split hands them out) and then through the default executor
-// over every storage layout crossed with pool sizes, requiring
-// bit-identical results and errors everywhere.
+// through the reference (one worker, inputs as Table.Split hands them
+// out: the split layout) and then over every storage layout crossed
+// with pool sizes, requiring bit-identical results and errors
+// everywhere.
 var shardWorkersSweep = []int{1, 2, 8}
 
 // rowLayouts re-store a table's cells without changing a value:
@@ -74,38 +73,33 @@ func interleavedLayout(t *data.Table) *data.Table {
 	return wide.SelectRows(rows)
 }
 
-// execShardWays runs the serial reference and then the default executor
-// across the full (layout, workers) sweep.
+// execShardWays runs the one-worker reference on the split layout and
+// then the full (layout, workers) sweep.
 func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table), target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
-	refReg := obs.NewRegistry()
-	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-		linear: true, Workers: 1, Metrics: refReg}
+	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: 1}
 	wantRes, wantErr := base.Execute(p, tr, te)
 	for _, lay := range rowLayouts {
 		for _, w := range shardWorkersSweep {
 			tr, te := mk()
-			reg := obs.NewRegistry()
-			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-				Workers: w, Metrics: reg}
+			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w}
 			gotRes, gotErr := ex.Execute(p, lay.of(tr), lay.of(te))
 			label := fmt.Sprintf("layout=%s workers=%d", lay.name, w)
-			checkScheduling(t, label, p, refReg, reg, gotErr)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: serial err=%v got err=%v", label, wantErr, gotErr)
+				t.Fatalf("%s: reference err=%v got err=%v", label, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("%s: error mismatch\nserial: %v\ngot:    %v", label, wantErr, gotErr)
+					t.Fatalf("%s: error mismatch\nreference: %v\ngot:       %v", label, wantErr, gotErr)
 				}
 				continue
 			}
 			a, b := *wantRes, *gotRes
 			a.Program, b.Program = nil, nil
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: result mismatch\nserial: %+v\ngot:    %+v", label, a, b)
+				t.Fatalf("%s: result mismatch\nreference: %+v\ngot:       %+v", label, a, b)
 			}
 		}
 	}
@@ -205,7 +199,7 @@ train model=linear_regression target="y"
 
 // Copy-on-write view inputs: SelectRows produces row-mapped views
 // sharing slabs with the source; every write must promote privately, so
-// the source table is untouched and results match serial.
+// the source table is untouched and results match the reference.
 func TestShardMatchesSerialOnCoWViews(t *testing.T) {
 	source := messyTable(700, 6)
 	mk := func() (*data.Table, *data.Table) {
@@ -260,7 +254,7 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, linear: true, Workers: 1}
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: 1}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -281,13 +275,13 @@ train model=random_forest target="y" trees=10
 				t.Fatal(err)
 			}
 			if string(want) != string(got) {
-				t.Fatalf("layout=%s workers=%d: artifact differs\nserial: %s\ngot:    %s", lay.name, w, want, got)
+				t.Fatalf("layout=%s workers=%d: artifact differs\nreference: %s\ngot:       %s", lay.name, w, want, got)
 			}
 		}
 	}
 }
 
-// Randomized programs must reproduce serial execution (results and
+// Randomized programs must reproduce the reference run (results and
 // errors) whatever the program shape, layout and pool size.
 func TestShardPropertyRandomPrograms(t *testing.T) {
 	mk := func() (*data.Table, *data.Table) {
