@@ -25,7 +25,9 @@ race:
 
 # Corrupt artifacts must end in an error, never a panic: fuzz the
 # tree-model loader and inference for a fixed time. Column summaries must
-# match the map-based reference on any bit pattern. A crasher lands in
+# match the map-based reference on any bit pattern. The CSV tokenizer must
+# give the legacy encoding/csv reader's table or error on any input, at
+# three worker and chunk-size points. A crasher lands in
 # the package's testdata/fuzz/<target>/; commit it with the fix so
 # `make test` replays it. -fuzzminimizetime=0x spends the time on new
 # inputs instead of shrinking each interesting one, so a crasher is
@@ -33,6 +35,7 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/ml/
 	$(GO) test -run='^$$' -fuzz='^FuzzSummary$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/data/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/data/
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.

@@ -78,19 +78,10 @@ func LoadDataset(name string, scale float64) (*Dataset, error) {
 // DatasetNames lists the built-in datasets in Table 3 order.
 func DatasetNames() []string { return data.Names() }
 
-// IngestOptions tunes CSV ingest: Workers bounds the chunk-parse fan-out
-// (0 = GOMAXPROCS, 1 = serial). Results are identical at any setting.
-type IngestOptions = data.IngestOptions
-
 // ReadCSV loads a single-table dataset from a CSV stream; target and task
 // describe the prediction problem.
 func ReadCSV(r io.Reader, name, target string, task Task) (*Dataset, error) {
-	return ReadCSVOptions(r, name, target, task, IngestOptions{})
-}
-
-// ReadCSVOptions is ReadCSV with explicit ingest tuning.
-func ReadCSVOptions(r io.Reader, name, target string, task Task, opts IngestOptions) (*Dataset, error) {
-	t, err := data.ReadCSVOptions(r, name, opts)
+	t, err := data.ReadCSV(r, name)
 	if err != nil {
 		return nil, err
 	}
@@ -103,12 +94,7 @@ func ReadCSVOptions(r io.Reader, name, target string, task Task, opts IngestOpti
 
 // ReadCSVFile is ReadCSV over a file path.
 func ReadCSVFile(path, target string, task Task) (*Dataset, error) {
-	return ReadCSVFileOptions(path, target, task, IngestOptions{})
-}
-
-// ReadCSVFileOptions is ReadCSVFile with explicit ingest tuning.
-func ReadCSVFileOptions(path, target string, task Task, opts IngestOptions) (*Dataset, error) {
-	t, err := data.ReadCSVFileOptions(path, opts)
+	t, err := data.ReadCSVFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -338,9 +324,4 @@ func LoadFittedPipelineFile(path string) (*FittedPipeline, error) {
 // loader for Predict, with no target or task attached.
 func ReadTableCSV(r io.Reader, name string) (*Table, error) {
 	return data.ReadCSV(r, name)
-}
-
-// ReadTableCSVOptions is ReadTableCSV with explicit ingest tuning.
-func ReadTableCSVOptions(r io.Reader, name string, opts IngestOptions) (*Table, error) {
-	return data.ReadCSVOptions(r, name, opts)
 }

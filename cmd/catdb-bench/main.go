@@ -6,9 +6,8 @@
 //	catdb-bench -exp fig10,table5,table8 -fast
 //
 // Experiments: fig9, fig10, table2 (incl. fig8), table4, table5 (incl.
-// table6), fig11 (incl. fig12), table7 (incl. fig13), table8, fig14, the
-// design-choice ablation (ablation), and the ingest-scaling measurement
-// (ingest).
+// table6), fig11 (incl. fig12), table7 (incl. fig13), table8, fig14, and
+// the design-choice ablation (ablation).
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"catdb/internal/bench"
-	"catdb/internal/data"
 	"catdb/internal/obs"
 	"catdb/internal/obs/ledger"
 	"catdb/internal/obs/opsserver"
@@ -39,7 +37,6 @@ func main() {
 	iters := flag.Int("iterations", 10, "iterations for fig11/fig12/table2")
 	fast := flag.Bool("fast", false, "trimmed datasets and iterations")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
@@ -102,7 +99,6 @@ func main() {
 	}
 	cfg := bench.Config{
 		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Workers: *workers, Out: out,
-		Ingest: data.IngestOptions{Workers: *ingestWorkers},
 		Tracer: tracer, Metrics: metrics, Progress: progressW, Ledger: ledgerW,
 	}
 
@@ -117,7 +113,6 @@ func main() {
 		{"table8", func(c bench.Config) error { _, err := bench.RunTable8EndToEnd(c); return err }},
 		{"fig14", func(c bench.Config) error { _, err := bench.RunFig14Robustness(c); return err }},
 		{"ablation", func(c bench.Config) error { _, err := bench.RunAblation(c); return err }},
-		{"ingest", func(c bench.Config) error { _, err := bench.RunIngestScaling(c); return err }},
 	}
 	want := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {

@@ -13,7 +13,6 @@
 package main
 
 import (
-	csvenc "encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -91,11 +90,10 @@ func startOps(addr string, tracer *catdb.Tracer, metrics *catdb.Metrics) (func()
 	}, nil
 }
 
-// dsFlags bundles the shared dataset-selection and ingest-tuning flags.
+// dsFlags bundles the shared dataset-selection flags.
 type dsFlags struct {
 	dataset, csv, target, task *string
 	scale                      *float64
-	ingestWorkers              *int
 }
 
 // datasetFlags adds the shared dataset-selection flags.
@@ -106,7 +104,6 @@ func datasetFlags(fs *flag.FlagSet) *dsFlags {
 	f.target = fs.String("target", "", "target column (required with -csv)")
 	f.task = fs.String("task", "binary", "task type with -csv: binary|multiclass|regression")
 	f.scale = fs.Float64("scale", 0.2, "row-count scale for built-in datasets")
-	f.ingestWorkers = fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
 	return f
 }
 
@@ -131,11 +128,7 @@ func (f *dsFlags) load() (*catdb.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown task %q", *f.task)
 	}
-	return catdb.ReadCSVFileOptions(*f.csv, *f.target, tk, f.ingest())
-}
-
-func (f *dsFlags) ingest() catdb.IngestOptions {
-	return catdb.IngestOptions{Workers: *f.ingestWorkers}
+	return catdb.ReadCSVFile(*f.csv, *f.target, tk)
 }
 
 func cmdDatasets() error {
@@ -443,7 +436,6 @@ func cmdPredict(args []string) error {
 	csvPath := fs.String("csv", "", "CSV rows to score; '-' reads stdin (required)")
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
 	workers := fs.Int("workers", 0, "inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
-	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while scoring (/metrics, /debug/pprof; predictions are identical with or without it)")
 	if err := fs.Parse(args); err != nil {
@@ -481,7 +473,7 @@ func cmdPredict(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	tb, err := catdb.ReadTableCSVOptions(in, "batch", catdb.IngestOptions{Workers: *ingestWorkers})
+	tb, err := catdb.ReadTableCSV(in, "batch")
 	if err != nil {
 		return err
 	}
@@ -492,36 +484,35 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := csvenc.NewWriter(os.Stdout)
-	header := []string{"prediction"}
+	out := data.NewTable("predictions")
+	if pred.Task == "regression" {
+		out.MustAddColumn(data.NewString("prediction", formatFloats(pred.Values)))
+	} else {
+		out.MustAddColumn(data.NewString("prediction", pred.Labels))
+	}
 	if pred.Task != "regression" && *proba {
-		for _, cl := range pred.Classes {
-			header = append(header, "proba_"+cl)
-		}
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	for i := 0; i < pred.Rows; i++ {
-		var row []string
-		if pred.Task == "regression" {
-			row = append(row, strconv.FormatFloat(pred.Values[i], 'g', -1, 64))
-		} else {
-			row = append(row, pred.Labels[i])
-			if *proba {
-				for _, p := range pred.Proba[i] {
-					row = append(row, strconv.FormatFloat(p, 'g', -1, 64))
-				}
+		for j, cl := range pred.Classes {
+			p := make([]float64, pred.Rows)
+			for i := range p {
+				p[i] = pred.Proba[i][j]
+			}
+			if err := out.AddColumn(data.NewString("proba_"+cl, formatFloats(p))); err != nil {
+				return err
 			}
 		}
-		if err := w.Write(row); err != nil {
-			return err
-		}
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := data.WriteCSV(os.Stdout, out); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "scored %d rows (task=%s model=%s)\n", pred.Rows, pred.Task, fp.ModelName)
 	return nil
+}
+
+// formatFloats renders each value in its shortest exact form.
+func formatFloats(vals []float64) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return out
 }

@@ -6,7 +6,7 @@
 //	BENCH_BASELINE=<lane>
 //
 // where <lane> names the subsystem: "data" (deep-copy gather) or
-// "ingest" (serial single-chunk parse).
+// "ingest" (the legacy encoding/csv reader).
 //
 // The package is a leaf (it imports only os) so bench files anywhere —
 // including internal/data, which internal/bench itself imports — can

@@ -14,7 +14,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"catdb/internal/data"
 	"catdb/internal/obs"
 	"catdb/internal/obs/ledger"
 	"catdb/internal/pool"
@@ -47,10 +46,6 @@ type Config struct {
 	// to share across them. Profiles are keyed by table content, so
 	// corrupted/mutated variants never alias (see profile.Cache).
 	ProfileCache *profile.Cache
-	// Ingest tunes CSV ingest wherever experiments parse CSV (chunk-parse
-	// worker count) and parameterizes the ingest-scaling experiment.
-	// Results never depend on it — only wall time does.
-	Ingest data.IngestOptions
 	// Out receives the rendered tables (defaults to io.Discard).
 	Out io.Writer
 	// Tracer, when set, records one "bench:<phase>" span per experiment

@@ -424,6 +424,7 @@ func (r *Runner) generateAndFix(pr prompt.Prompt, in prompt.Input, cfg prompt.Co
 	}
 	ex := r.executor(ds, opts)
 	ex.AllowNoTrain = allowNoTrain
+	ex.Span = sp
 	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
 }
 
@@ -462,7 +463,9 @@ func staticRepair(source string, in prompt.Input, task data.Task) string {
 func (r *Runner) finalValidate(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	vTrain, vTest *data.Table, ds *data.Dataset, res *Result, sp *obs.Span) (string, error) {
 
-	fixed, _, err := r.debugLoop(source, in, cfg, opts, r.executor(ds, opts), vTrain, vTest, ds, res, sp)
+	ex := r.executor(ds, opts)
+	ex.Span = sp
+	fixed, _, err := r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
 	return fixed, err
 }
 

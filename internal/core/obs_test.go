@@ -133,13 +133,13 @@ func TestTracedRunRecordsSpansAndMetrics(t *testing.T) {
 		t.Fatalf("want a span tree rooted at run, got %d spans", len(spans))
 	}
 	names := map[string]bool{}
-	nameOf := map[int]string{} // spans come in start order: parents first
-	trainUnderExec := false
+	nameOf := map[int]string{}      // spans come in start order: parents first
+	trainUnder := map[string]bool{} // stage spans with a train stmt span beneath
 	for _, s := range spans {
 		names[s.Name] = true
 		nameOf[s.ID] = s.Name
-		if s.Name == "stmt" && s.Attrs["op"] == "train" && nameOf[s.Parent] == "exec" {
-			trainUnderExec = true
+		if s.Name == "stmt" && s.Attrs["op"] == "train" {
+			trainUnder[nameOf[s.Parent]] = true
 		}
 	}
 	for _, want := range []string{"profile", "prompt-build", "generate", "final-validate", "exec"} {
@@ -147,8 +147,11 @@ func TestTracedRunRecordsSpansAndMetrics(t *testing.T) {
 			t.Errorf("missing %q span in %v", want, names)
 		}
 	}
-	if !trainUnderExec {
+	if !trainUnder["exec"] {
 		t.Error("no train stmt span under exec: the executor must open one span per statement")
+	}
+	if !trainUnder["generate"] {
+		t.Error("no train stmt span under generate: sample validation must train inside the trace")
 	}
 	if got := r.Metrics.Counter("catdb_llm_calls_total", "model", "gemini-1.5-pro").Value(); got == 0 {
 		t.Error("catdb_llm_calls_total not recorded")

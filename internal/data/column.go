@@ -502,37 +502,72 @@ func (c *Column) IsConstant() bool {
 // InferKind guesses the narrowest kind that can represent every non-empty
 // string in vals: bool, int, float, then string.
 func InferKind(vals []string) Kind {
-	isBool, isInt, isFloat := true, true, true
-	any := false
+	can, seen := canBool|canInt|canFloat, false
 	for _, v := range vals {
-		v = strings.TrimSpace(v)
-		if v == "" {
+		if v = strings.TrimSpace(v); v == "" {
 			continue
 		}
-		any = true
-		lv := strings.ToLower(v)
-		if lv != "true" && lv != "false" {
-			isBool = false
-		}
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			isInt = false
-		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			isFloat = false
-		}
-		if !isBool && !isInt && !isFloat {
+		seen = true
+		if can, _ = narrow(can, v); can == 0 {
 			return KindString
 		}
 	}
-	if !any {
+	if !seen {
 		return KindString
 	}
+	return kindOf(can)
+}
+
+// The kinds a column's cells may still take, as InferKind narrows them.
+const (
+	canBool uint8 = 1 << iota
+	canInt
+	canFloat
+)
+
+// narrow holds InferKind's rules for one trimmed, non-empty cell: a bool
+// is "true" or "false" in any case, an int passes strconv.ParseInt and a
+// float strconv.ParseFloat. It returns the kinds in can that v admits, and
+// v's number under them (1 or 0 for a bool); it parses v only for the
+// kinds in can.
+func narrow(can uint8, v string) (uint8, float64) {
+	if can&canInt != 0 {
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			// ParseFloat rounds the same integer the same way; only a
+			// negative zero needs its sign back.
+			if n == 0 && v[0] == '-' {
+				return can &^ canBool, math.Copysign(0, -1)
+			}
+			return can &^ canBool, float64(n)
+		}
+		can &^= canInt
+	}
+	if can&canFloat != 0 {
+		if x, err := strconv.ParseFloat(v, 64); err == nil {
+			return can &^ canBool, x
+		}
+		can &^= canFloat
+	}
+	if can&canBool != 0 {
+		switch strings.ToLower(v) {
+		case "true":
+			return canBool, 1
+		case "false":
+			return canBool, 0
+		}
+	}
+	return 0, 0
+}
+
+// kindOf resolves the kinds every cell of a column admits by InferKind's
+// precedence: bool, then int, then float.
+func kindOf(can uint8) Kind {
 	switch {
-	case isBool:
+	case can&canBool != 0:
 		return KindBool
-	case isInt:
+	case can&canInt != 0:
 		return KindInt
-	case isFloat:
+	case can&canFloat != 0:
 		return KindFloat
 	default:
 		return KindString

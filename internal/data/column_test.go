@@ -200,6 +200,13 @@ func TestInferKind(t *testing.T) {
 		{[]string{"true", "FALSE"}, KindBool},
 		{[]string{"1", "x"}, KindString},
 		{[]string{"", ""}, KindString},
+		{[]string{" +1 ", "-0", "007"}, KindInt},
+		{[]string{"1", "9223372036854775808"}, KindFloat}, // past int64
+		{[]string{"1", "inf", "NaN"}, KindFloat},
+		{[]string{"true", "1"}, KindString},
+		{[]string{"1", "true"}, KindString},
+		{[]string{"TRUE", " false "}, KindBool},
+		{[]string{"true", "falſe"}, KindString}, // ToLower, not case folding
 	}
 	for _, tc := range cases {
 		if got := InferKind(tc.vals); got != tc.want {

@@ -42,24 +42,15 @@ func WriteCSVFile(path string, t *Table) error {
 
 // ReadCSV parses a CSV stream with a header row into a table, inferring the
 // narrowest kind per column (bool, int, float, string). Empty cells become
-// missing values. It is ReadCSVOptions under the default ingest options
-// (parallel chunked parse); output is identical to the historical serial
-// reader.
+// missing values. The stream is read once into memory and tokenized in
+// record-aligned chunks in parallel (see parseCSVChunkSize); the table and
+// any error are those of the historical serial reader.
 func ReadCSV(r io.Reader, name string) (*Table, error) {
-	return ReadCSVOptions(r, name, IngestOptions{})
-}
-
-// ReadCSVOptions is ReadCSV with explicit ingest tuning. The stream is
-// slurped once, split into record-aligned byte chunks, and parsed
-// concurrently straight into preallocated typed columns; any input the
-// chunked path cannot handle re-parses through the legacy serial reader,
-// so results and errors never depend on Workers.
-func ReadCSVOptions(r io.Reader, name string, opts IngestOptions) (*Table, error) {
 	buf, err := slurp(r)
 	if err != nil {
 		return nil, fmt.Errorf("data: read csv %q: %w", name, err)
 	}
-	return parseCSVChunkSize(buf, name, opts.Workers, defaultChunkBytes)
+	return parseCSVChunkSize(buf, name, 0, defaultChunkBytes)
 }
 
 // slurp reads r to EOF. When the reader knows its remaining size
@@ -86,8 +77,9 @@ func slurp(r io.Reader) ([]byte, error) {
 }
 
 // readCSVLegacy is the historical ReadAll-based serial reader. It is the
-// semantic reference: the chunked path falls back to it on any parse
-// trouble, and the equivalence tests pin the chunked output against it.
+// semantic reference: the tokenizer hands it every input it refuses, so it
+// owns every error message, and the equivalence tests pin the tokenizer's
+// tables against it.
 func readCSVLegacy(r io.Reader, name string) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = false
@@ -118,14 +110,9 @@ func readCSVLegacy(r io.Reader, name string) (*Table, error) {
 
 // ReadCSVFile reads the CSV file at path into a table named after the file.
 func ReadCSVFile(path string) (*Table, error) {
-	return ReadCSVFileOptions(path, IngestOptions{})
-}
-
-// ReadCSVFileOptions is ReadCSVFile with explicit ingest tuning.
-func ReadCSVFileOptions(path string, opts IngestOptions) (*Table, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("data: %w", err)
 	}
-	return parseCSVChunkSize(buf, path, opts.Workers, defaultChunkBytes)
+	return parseCSVChunkSize(buf, path, 0, defaultChunkBytes)
 }

@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -61,12 +62,12 @@ func requireTablesEqual(t *testing.T, want, got *Table, label string) {
 }
 
 // requireIngestMatchesLegacy parses input through the legacy serial reader
-// and through the chunked reader at every grid point, requiring identical
-// tables (or identical error-ness).
-func requireIngestMatchesLegacy(t *testing.T, input, label string) {
+// and through the chunked reader at every point of grid, requiring
+// identical tables or identical error messages.
+func requireIngestMatchesLegacy(t *testing.T, input, label string, grid []ingestPoint) {
 	t.Helper()
 	want, wantErr := readCSVLegacy(strings.NewReader(input), "x")
-	for _, g := range ingestGrid {
+	for _, g := range grid {
 		tag := fmt.Sprintf("%s w=%d cb=%d", label, g.workers, g.chunkBytes)
 		got, err := parseCSVChunkSize([]byte(input), "x", g.workers, g.chunkBytes)
 		if wantErr != nil {
@@ -87,37 +88,39 @@ func requireIngestMatchesLegacy(t *testing.T, input, label string) {
 	}
 }
 
-// The CSV edge-case goldens of the issue: quoted fields containing newlines
+// ingestGoldens are the CSV edge cases: quoted fields containing newlines
 // and commas, CRLF endings, UTF-8 BOM, empty trailing lines, ragged
-// records — each pinned byte-identical between the serial and
-// chunked-parallel readers across worker counts and chunk sizes.
+// records, and the inputs encoding/csv rejects.
+var ingestGoldens = map[string]string{
+	"plain":          "a,b,c\n1,2.5,x\n3,4.5,y\n",
+	"no trailing nl": "a,b\n1,x\n2,y",
+	"quoted newline": "a,b\n\"line1\nline2\",1\n\"more\r\nlines\",2\n",
+	"quoted comma":   "a,b\n\"x,y\",1\n\"\"\"quoted\"\"\",2\n",
+	"crlf":           "a,b\r\n1,x\r\n2,y\r\n",
+	"utf8 bom":       "\xef\xbb\xbfa,b\n1,x\n",
+	"empty trailing": "a,b\n1,x\n\n\n",
+	"empty interior": "a,b\n1,x\n\n2,y\n\r\n3,z\n",
+	"leading empty":  "\n\na,b\n1,x\n",
+	"missing cells":  "a,b,c\n,2, \n1,,x\n , ,\n",
+	"bool column":    "flag,v\ntrue,1\nFALSE,2\nTrue,3\n",
+	"unicode":        "名前,v\n\"こん\nにちは\",1\né,2\n",
+	"single column":  "only\n1\n2\n\n3\n",
+	"header only":    "a,b,c\n",
+	"ragged short":   "a,b\n1\n",
+	"ragged long":    "a,b\n1,2,3\n",
+	"bare quote":     "a,b\n1,x\"y\n",
+	"stray cr tail":  "a\n1\n\r",
+	"empty":          "",
+	"blank lines":    "\n\n",
+	"spaces kind":    "a,b\n 1 , x \n 2 , y \n",
+	"all missing":    "a,b\n,\n,\n",
+	"numeric mix":    "a,b\n1,1\n2.5,2\nNaN,inf\n",
+}
+
+// The CSV edge-case goldens, each pinned byte-identical between the serial
+// and chunked-parallel readers across worker counts and chunk sizes.
 func TestIngestEdgeCaseGoldens(t *testing.T) {
-	goldens := map[string]string{
-		"plain":          "a,b,c\n1,2.5,x\n3,4.5,y\n",
-		"no trailing nl": "a,b\n1,x\n2,y",
-		"quoted newline": "a,b\n\"line1\nline2\",1\n\"more\r\nlines\",2\n",
-		"quoted comma":   "a,b\n\"x,y\",1\n\"\"\"quoted\"\"\",2\n",
-		"crlf":           "a,b\r\n1,x\r\n2,y\r\n",
-		"utf8 bom":       "\xef\xbb\xbfa,b\n1,x\n",
-		"empty trailing": "a,b\n1,x\n\n\n",
-		"empty interior": "a,b\n1,x\n\n2,y\n\r\n3,z\n",
-		"leading empty":  "\n\na,b\n1,x\n",
-		"missing cells":  "a,b,c\n,2, \n1,,x\n , ,\n",
-		"bool column":    "flag,v\ntrue,1\nFALSE,2\nTrue,3\n",
-		"unicode":        "名前,v\n\"こん\nにちは\",1\né,2\n",
-		"single column":  "only\n1\n2\n\n3\n",
-		"header only":    "a,b,c\n",
-		"ragged short":   "a,b\n1\n",
-		"ragged long":    "a,b\n1,2,3\n",
-		"bare quote":     "a,b\n1,x\"y\n",
-		"stray cr tail":  "a\n1\n\r",
-		"empty":          "",
-		"blank lines":    "\n\n",
-		"spaces kind":    "a,b\n 1 , x \n 2 , y \n",
-		"all missing":    "a,b\n,\n,\n",
-		"numeric mix":    "a,b\n1,1\n2.5,2\nNaN,inf\n",
-	}
-	for name, input := range goldens {
+	for name, input := range ingestGoldens {
 		requireIngestMatchesSerialAndLegacy(t, input, name)
 	}
 }
@@ -127,7 +130,7 @@ func TestIngestEdgeCaseGoldens(t *testing.T) {
 // bar) on inputs that parse.
 func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 	t.Helper()
-	requireIngestMatchesLegacy(t, input, label)
+	requireIngestMatchesLegacy(t, input, label, ingestGrid)
 	want, err := readCSVLegacy(strings.NewReader(input), "x")
 	if err != nil {
 		return
@@ -151,12 +154,18 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 	}
 }
 
-// Columns that change character after the sniff window exercise the
-// demotion/promotion machinery: a numeric-looking column that turns string
-// (re-read pass), an all-missing prefix that turns numeric or bool
-// (string-slab conversion), and a bool prefix that turns string.
-func TestIngestModeDemotions(t *testing.T) {
-	n := sniffRecords * 3
+// modeDemotionCases are columns that change character deep into the
+// file: a numeric-looking column that turns string, an all-missing prefix
+// that turns numeric or bool, and a bool prefix that turns string. The
+// change comes after row 512+17 because the reader these cases were
+// written for guessed each column's storage from its first 512 records;
+// they keep that shape so that a reader which decides kinds from a prefix
+// fails them.
+func modeDemotionCases() map[string]struct {
+	input string
+	kind  Kind
+} {
+	const n = 512 * 3
 	var latentStr, latentNum, latentBool, boolToStr, intToFloat strings.Builder
 	latentStr.WriteString("a,pad\n")
 	latentNum.WriteString("a,pad\n")
@@ -165,7 +174,7 @@ func TestIngestModeDemotions(t *testing.T) {
 	intToFloat.WriteString("a,pad\n")
 	for i := 0; i < n; i++ {
 		switch {
-		case i < sniffRecords+17:
+		case i < 512+17:
 			fmt.Fprintf(&latentStr, "%d,p\n", i)
 			latentNum.WriteString(",p\n")
 			latentBool.WriteString(",p\n")
@@ -179,7 +188,7 @@ func TestIngestModeDemotions(t *testing.T) {
 			fmt.Fprintf(&intToFloat, "%d.25,p\n", i)
 		}
 	}
-	cases := map[string]struct {
+	return map[string]struct {
 		input string
 		kind  Kind
 	}{
@@ -192,8 +201,13 @@ func TestIngestModeDemotions(t *testing.T) {
 		"all missing col":     {"a,pad\n" + strings.Repeat(",p\n", n), KindString},
 		"string whole column": {"a,pad\n" + strings.Repeat("s,p\n", n), KindString},
 	}
-	for name, tc := range cases {
-		requireIngestMatchesLegacy(t, tc.input, name)
+}
+
+// Every column's kind is decided over all its cells, however late its
+// character changes.
+func TestIngestModeDemotions(t *testing.T) {
+	for name, tc := range modeDemotionCases() {
+		requireIngestMatchesLegacy(t, tc.input, name, ingestGrid)
 		got, err := ReadCSV(strings.NewReader(tc.input), "x")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -240,7 +254,7 @@ func randomCSVTable(rng *rand.Rand, rows int) string {
 // of the worker × chunk-size grid.
 func TestParallelIngestMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, rows := range []int{3, 40, sniffRecords + 100, 2000} {
+	for _, rows := range []int{3, 40, 512 + 100, 2000} {
 		input := randomCSVTable(rng, rows)
 		requireIngestMatchesSerialAndLegacy(t, input, fmt.Sprintf("rows=%d", rows))
 	}
@@ -276,32 +290,29 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// The scanner's view of record framing must agree with encoding/csv on the
-// goldens: spans tile the body and record counts sum to the parsed rows.
+// The cut finder and the tokenizer must agree with encoding/csv on record
+// framing: chunks tile the input, each cut follows a record's line end,
+// and the chunks' record counts sum to the header plus the parsed rows.
 func TestScanCSVChunksFraming(t *testing.T) {
 	input := "a,b\n\"x\n,\r\ny\",1\n\n2,3\r\n\r\n4,5\n"
 	for _, cb := range []int{1, 2, 5, 1 << 20} {
-		header, spans, total := scanCSVChunks([]byte(input), cb)
-		if header.records != 1 || header.start != 0 {
-			t.Fatalf("cb=%d: header %+v", cb, header)
+		cuts := cutChunks([]byte(input), cb)
+		if cuts[0] != 0 || cuts[len(cuts)-1] != len(input) {
+			t.Fatalf("cb=%d: cuts %v do not span the input", cb, cuts)
 		}
-		if total != 3 {
-			t.Fatalf("cb=%d: total %d, want 3", cb, total)
-		}
-		prev := header.end
-		rows := 0
-		for _, sp := range spans {
-			if sp.start != prev {
-				t.Fatalf("cb=%d: span start %d, want %d (spans must tile)", cb, sp.start, prev)
+		records := 0
+		for i := 1; i < len(cuts); i++ {
+			if cuts[i] <= cuts[i-1] || (i < len(cuts)-1 && input[cuts[i]-1] != '\n') {
+				t.Fatalf("cb=%d: cuts %v must tile the input at line ends", cb, cuts)
 			}
-			if sp.rowOff != rows {
-				t.Fatalf("cb=%d: rowOff %d, want %d", cb, sp.rowOff, rows)
+			ck := chunk{b: []byte(input[cuts[i-1]:cuts[i]])}
+			if !ck.tokenize() {
+				t.Fatalf("cb=%d: chunk %q refused", cb, ck.b)
 			}
-			prev = sp.end
-			rows += sp.records
+			records += ck.records()
 		}
-		if prev != len(input) || rows != total {
-			t.Fatalf("cb=%d: spans end %d rows %d", cb, prev, rows)
+		if records != 1+3 {
+			t.Fatalf("cb=%d: %d records, want the header and 3 rows", cb, records)
 		}
 	}
 }
@@ -315,4 +326,73 @@ func TestIngestEmptyInputMessage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message for blank-lines input", err)
 	}
+}
+
+// refusedGoldens are the goldens the tokenizer hands to readCSVLegacy:
+// encoding/csv's error cases, and a lone '\r' ending the input.
+var refusedGoldens = map[string]bool{
+	"bare quote": true, "ragged short": true, "ragged long": true,
+	"empty": true, "blank lines": true, "stray cr tail": true,
+}
+
+// A fallback on the workloads' CSVs would hide a slowdown behind the
+// equivalence tests, so the tokenizer must read them itself, at two chunk
+// sizes: every table of every registry dataset, a serve-shaped table, and
+// every golden but the refused ones, each to readCSVLegacy's table.
+func TestTokenizerReadsWorkloadCSVs(t *testing.T) {
+	inputs := map[string]string{"serve shape": string(serveShapeCSV(20_000))}
+	for _, name := range Names() {
+		ds, err := Load(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tb := range ds.Tables {
+			var b bytes.Buffer
+			if err := WriteCSV(&b, tb); err != nil {
+				t.Fatal(err)
+			}
+			inputs[fmt.Sprintf("%s table %d", name, i)] = b.String()
+		}
+	}
+	for name, input := range ingestGoldens {
+		if !refusedGoldens[name] {
+			inputs["golden "+name] = input
+		}
+	}
+	for label, input := range inputs {
+		for _, cb := range []int{4096, defaultChunkBytes} {
+			got, err := tokenizeCSV([]byte(input), "x", 0, cb)
+			if err != nil {
+				t.Fatalf("%s cb=%d: the tokenizer did not read it: %v", label, cb, err)
+			}
+			if cb == defaultChunkBytes {
+				want, err := readCSVLegacy(strings.NewReader(input), "x")
+				if err != nil {
+					t.Fatalf("%s: legacy: %v", label, err)
+				}
+				requireTablesEqual(t, want, got, label)
+			}
+		}
+	}
+	for name := range refusedGoldens {
+		if _, err := tokenizeCSV([]byte(ingestGoldens[name]), "x", 0, defaultChunkBytes); !errors.Is(err, errRefused) {
+			t.Fatalf("golden %q: got err %v, want a refusal; drop it from refusedGoldens", name, err)
+		}
+	}
+}
+
+// FuzzReadCSV requires the chunked reader to give readCSVLegacy's table, or
+// its error message, on any input, at three (workers, chunk bytes) points.
+func FuzzReadCSV(f *testing.F) {
+	for _, input := range ingestGoldens {
+		f.Add(input)
+	}
+	for _, tc := range modeDemotionCases() {
+		f.Add(tc.input)
+	}
+	f.Add("i,f,b\n-0,1e400,TRUE\n+7,-0.0,false\n9223372036854775807,0x1p-2,True\n-9223372036854775808,99999999999999999999,FALSE\n")
+	grid := []ingestPoint{{workers: 1, chunkBytes: 1}, {workers: 2, chunkBytes: 7}, {workers: 4, chunkBytes: defaultChunkBytes}}
+	f.Fuzz(func(t *testing.T, input string) {
+		requireIngestMatchesLegacy(t, input, "fuzz", grid)
+	})
 }

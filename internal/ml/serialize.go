@@ -171,6 +171,37 @@ func loadScaler(d *ScalerDump, kind string) (*scaler, error) {
 	return &scaler{mean: d.Mean, std: d.Std}, nil
 }
 
+// checkClassWeights requires a logistic or svm dump to carry a weight row
+// and a bias for every class, as inference reads them.
+func checkClassWeights(fm *FittedModel) error {
+	if len(fm.WC) < fm.Classes || len(fm.BC) < fm.Classes {
+		return fmt.Errorf("ml: %s dump has %d weight rows and %d biases for %d classes",
+			fm.Kind, len(fm.WC), len(fm.BC), fm.Classes)
+	}
+	return nil
+}
+
+// checkStoredLabels requires an instance-store dump (knn, tabpfn) to carry
+// a label for every stored row: a class in [0, classes), or a target for
+// knn regression.
+func checkStoredLabels(fm *FittedModel) error {
+	if fm.Kind == KindKNN && fm.Classes == 0 {
+		if len(fm.Yr) < len(fm.X) {
+			return fmt.Errorf("ml: knn dump has %d targets for %d stored rows", len(fm.Yr), len(fm.X))
+		}
+		return nil
+	}
+	if len(fm.Yc) < len(fm.X) {
+		return fmt.Errorf("ml: %s dump has %d labels for %d stored rows", fm.Kind, len(fm.Yc), len(fm.X))
+	}
+	for _, y := range fm.Yc[:len(fm.X)] {
+		if y < 0 || y >= fm.Classes {
+			return fmt.Errorf("ml: %s dump has class label %d outside [0, %d)", fm.Kind, y, fm.Classes)
+		}
+	}
+	return nil
+}
+
 // Export captures a trained model's inference-time parameters. It errors
 // on unknown model types and on models that have not been fitted.
 func Export(m any) (*FittedModel, error) {
@@ -311,10 +342,16 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if len(k.x) == 0 {
 			return nil, fmt.Errorf("ml: knn dump has no stored rows")
 		}
+		if err := checkStoredLabels(fm); err != nil {
+			return nil, err
+		}
 		return k, nil
 	case KindLogistic:
 		sc, err := loadScaler(fm.Scaler, fm.Kind)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkClassWeights(fm); err != nil {
 			return nil, err
 		}
 		l := NewLogistic(LinearConfig{})
@@ -330,16 +367,27 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		l.w, l.b, l.sc, l.yMean, l.yStd = fm.W, fm.B, sc, fm.YMean, fm.YStd
 		return l, nil
 	case KindNaiveBayes:
+		// Inference reads a prior, a mean row and a variance as long as
+		// the mean row for every class, and at least one class.
+		if fm.Classes == 0 || len(fm.Prior) != fm.Classes || len(fm.Mean) < fm.Classes || len(fm.Vari) < fm.Classes {
+			return nil, fmt.Errorf("ml: naive-bayes dump has %d priors, %d mean rows and %d variance rows for %d classes",
+				len(fm.Prior), len(fm.Mean), len(fm.Vari), fm.Classes)
+		}
+		for c, mean := range fm.Mean[:fm.Classes] {
+			if len(fm.Vari[c]) < len(mean) {
+				return nil, fmt.Errorf("ml: naive-bayes dump has %d variances for %d means in class %d", len(fm.Vari[c]), len(mean), c)
+			}
+		}
 		nb := NewNaiveBayes()
 		nb.classes = fm.Classes
 		nb.prior, nb.mean, nb.vari = fm.Prior, fm.Mean, fm.Vari
-		if len(nb.prior) != fm.Classes {
-			return nil, fmt.Errorf("ml: naive-bayes dump has %d priors for %d classes", len(nb.prior), fm.Classes)
-		}
 		return nb, nil
 	case KindSVM:
 		sc, err := loadScaler(fm.Scaler, fm.Kind)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkClassWeights(fm); err != nil {
 			return nil, err
 		}
 		m := NewSVM(LinearConfig{})
@@ -349,6 +397,9 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 	case KindTabPFN:
 		sc, err := loadScaler(fm.Scaler, fm.Kind)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkStoredLabels(fm); err != nil {
 			return nil, err
 		}
 		t := NewTabPFNSim()

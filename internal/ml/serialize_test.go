@@ -269,6 +269,45 @@ func malformedTreeDumps() []struct {
 	}
 }
 
+// malformedNonTreeDumps are loadable-looking dumps of the other kinds
+// whose inference would index out of range.
+func malformedNonTreeDumps() []struct {
+	name string
+	fm   FittedModel
+} {
+	sc := &ScalerDump{Mean: []float64{0}, Std: []float64{1}}
+	return []struct {
+		name string
+		fm   FittedModel
+	}{
+		{"logistic with fewer biases than classes", FittedModel{Kind: KindLogistic, Classes: 3, Scaler: sc,
+			WC: [][]float64{{1}, {1}, {1}}, BC: []float64{0}}},
+		{"logistic with fewer weight rows than classes", FittedModel{Kind: KindLogistic, Classes: 3, Scaler: sc,
+			WC: [][]float64{{1}}, BC: []float64{0, 0, 0}}},
+		{"svm with fewer biases than classes", FittedModel{Kind: KindSVM, Classes: 2, Scaler: sc,
+			WC: [][]float64{{1}, {1}}, BC: []float64{0}}},
+		{"svm with fewer weight rows than classes", FittedModel{Kind: KindSVM, Classes: 2, Scaler: sc,
+			WC: [][]float64{{1}}, BC: []float64{0, 0}}},
+		{"knn with fewer labels than rows", FittedModel{Kind: KindKNN, Classes: 2, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{0}}},
+		{"knn with a label past the classes", FittedModel{Kind: KindKNN, Classes: 2, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{0, 2}}},
+		{"knn regression with fewer targets than rows", FittedModel{Kind: KindKNN, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yr: []float64{1}}},
+		{"tabpfn with fewer labels than rows", FittedModel{Kind: KindTabPFN, Classes: 2, Bandwidth: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{1}}},
+		{"tabpfn with a negative label", FittedModel{Kind: KindTabPFN, Classes: 2, Bandwidth: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{0, -1}}},
+		{"naive-bayes with fewer mean rows than classes", FittedModel{Kind: KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0}}, Vari: [][]float64{{1}, {1}}}},
+		{"naive-bayes with fewer variance rows than classes", FittedModel{Kind: KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0}, {0}}, Vari: [][]float64{{1}}}},
+		{"naive-bayes variance row shorter than its means", FittedModel{Kind: KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0, 0}, {0, 0}}, Vari: [][]float64{{1, 1}, {1}}}},
+		{"naive-bayes without classes", FittedModel{Kind: KindNaiveBayes}},
+	}
+}
+
 func TestSerializeRejectsUnfittedAndMalformed(t *testing.T) {
 	if _, err := Export(NewForest(ForestConfig{})); err == nil {
 		t.Fatal("expected error exporting unfitted forest")
@@ -279,7 +318,7 @@ func TestSerializeRejectsUnfittedAndMalformed(t *testing.T) {
 	if _, err := Export(42); err == nil {
 		t.Fatal("expected error exporting unknown type")
 	}
-	for _, tc := range malformedTreeDumps() {
+	for _, tc := range append(malformedTreeDumps(), malformedNonTreeDumps()...) {
 		if _, err := tc.fm.Model(0); err == nil {
 			t.Errorf("%s: dump loaded without error", tc.name)
 		}

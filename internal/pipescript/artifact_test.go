@@ -500,6 +500,76 @@ train model=linear_regression target="y"
 	}
 }
 
+// TestPredictCorruptNonTreeModel pins containment for corrupt dumps of the
+// other model kinds: a shape their inference would index out of range
+// gets E_ARTIFACT_MODEL from Predict instead of a panic.
+func TestPredictCorruptNonTreeModel(t *testing.T) {
+	const src = `pipeline "corrupt"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+train model=%s target="y"
+`
+	tr, te := split(messyTable(300, 3), 5)
+	_, clf := fitRoundTrip(t, &Executor{Target: "y", Task: data.Multiclass, Seed: 1},
+		fmt.Sprintf(src, "logistic_regression"), tr, te)
+	rtr, rte := split(messyRegTable(300, 2), 5)
+	_, reg := fitRoundTrip(t, &Executor{Target: "y", Task: data.Regression, Seed: 1}, `pipeline "corrupt"
+impute "num" strategy=median
+target_encode "cat"
+train model=knn target="y"
+`, rtr, rte)
+	sc := &ml.ScalerDump{Mean: []float64{0}, Std: []float64{1}}
+	for name, m := range map[string]ml.FittedModel{
+		"logistic bc cut to one entry": {Kind: ml.KindLogistic, Classes: 3, Scaler: sc,
+			WC: [][]float64{{1}, {1}, {1}}, BC: []float64{0}},
+		"logistic with one weight row": {Kind: ml.KindLogistic, Classes: 3, Scaler: sc,
+			WC: [][]float64{{1}}, BC: []float64{0, 0, 0}},
+		"svm with one bias": {Kind: ml.KindSVM, Classes: 2, Scaler: sc,
+			WC: [][]float64{{1}, {1}}, BC: []float64{0}},
+		"svm with one weight row": {Kind: ml.KindSVM, Classes: 2, Scaler: sc,
+			WC: [][]float64{{1}}, BC: []float64{0, 0}},
+		"knn with fewer labels than rows": {Kind: ml.KindKNN, Classes: 2, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{0}},
+		"knn label past the classes": {Kind: ml.KindKNN, Classes: 2, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{2, 2}},
+		"knn regression short targets": {Kind: ml.KindKNN, K: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yr: []float64{1}},
+		"tabpfn with fewer labels than rows": {Kind: ml.KindTabPFN, Classes: 2, Bandwidth: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{1}},
+		"tabpfn negative label": {Kind: ml.KindTabPFN, Classes: 2, Bandwidth: 1, Scaler: sc,
+			X: [][]float64{{0}, {1}}, Yc: []int{-1, -1}},
+		"naive-bayes one mean row": {Kind: ml.KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0}}, Vari: [][]float64{{1}, {1}}},
+		"naive-bayes one variance row": {Kind: ml.KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0}, {0}}, Vari: [][]float64{{1}}},
+		"naive-bayes short variance row": {Kind: ml.KindNaiveBayes, Classes: 2,
+			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0, 0}, {0, 0}}, Vari: [][]float64{{1, 1}, {1}}},
+		"naive-bayes without classes": {Kind: ml.KindNaiveBayes},
+	} {
+		fp, rows := clf, te
+		if m.Kind == ml.KindKNN && m.Classes == 0 {
+			fp, rows = reg, rte
+		}
+		bad := *fp
+		bad.Model, bad.model = &m, nil
+		var buf bytes.Buffer
+		if err := bad.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadFittedPipeline(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = back.Predict(rows)
+		var ae *ArtifactError
+		if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+			t.Errorf("%s: err = %v, want artifact error %s", name, err, ErrArtifactModel)
+		}
+	}
+}
+
 func TestPredictRecordsMetrics(t *testing.T) {
 	src := `pipeline "obs"
 dedup_values "cat"
