@@ -27,7 +27,9 @@ race:
 # tree-model loader and inference for a fixed time. Column summaries must
 # match the map-based reference on any bit pattern. The CSV tokenizer must
 # give the legacy encoding/csv reader's table or error on any input, at
-# three worker and chunk-size points. A crasher lands in
+# three worker and chunk-size points. Executor.Check must give Execute's
+# outcome on generated programs over every model and size, and Execute
+# must give the same result at one and two workers. A crasher lands in
 # the package's testdata/fuzz/<target>/; commit it with the fix so
 # `make test` replays it. -fuzzminimizetime=0x spends the time on new
 # inputs instead of shrinking each interesting one, so a crasher is
@@ -36,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeModel$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/ml/
 	$(GO) test -run='^$$' -fuzz='^FuzzSummary$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/data/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/data/
+	$(GO) test -run='^$$' -fuzz='^FuzzExecute$$' -fuzztime=10s -fuzzminimizetime=0x ./internal/pipescript/
 
 # Every tracked Go file is gofmt-clean. Fail on any file gofmt would
 # rewrite.

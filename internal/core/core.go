@@ -476,9 +476,10 @@ func (r *Runner) executor(ds *data.Dataset, opts Options) *pipescript.Executor {
 }
 
 // debugLoop is the shared fix loop used by generation, finalValidate
-// and the full-data resume path. The bool reports that ex executed the
-// returned source successfully; it is false for the handcrafted
-// fallback, which the loop returns without running.
+// and the full-data resume path. Each attempt is an Executor.Check (see
+// parseAndExecute). The bool reports that ex checked the returned source
+// successfully; it is false for the handcrafted fallback, which the loop
+// returns without running.
 func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	ex *pipescript.Executor, train, test *data.Table, ds *data.Dataset, res *Result, parent *obs.Span) (string, bool, error) {
 
@@ -610,14 +611,17 @@ func (r *Runner) resumeOnFullData(source string, firstErr error, in prompt.Input
 }
 
 // parseAndExecute is Algorithm 4's PARSEANDEXECUTE: syntax check first
-// (ast analogue), then a runtime check on local data.
+// (ast analogue), then a runtime check on local data. The loop keeps only
+// whether and how the run failed, so the runtime check is Executor.Check:
+// the program runs in full but trains the cheapest model of the requested
+// kind, which fails exactly when the full fit would. Scores come only from
+// the full execution that follows the loop.
 func parseAndExecute(ex *pipescript.Executor, source string, train, test *data.Table) error {
 	prog, err := pipescript.Parse(source)
 	if err != nil {
 		return err
 	}
-	_, err = ex.Execute(prog, train, test)
-	return err
+	return ex.Check(prog, train, test)
 }
 
 // relevantColumns filters and projects the metadata relevant to an error

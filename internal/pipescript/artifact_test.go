@@ -12,6 +12,7 @@ import (
 	"catdb/internal/data"
 	"catdb/internal/ml"
 	"catdb/internal/obs"
+	"catdb/internal/pool"
 )
 
 // messyRegTable builds a regression table with a noisy numeric target,
@@ -521,7 +522,28 @@ target_encode "cat"
 train model=knn target="y"
 `, rtr, rte)
 	sc := &ml.ScalerDump{Mean: []float64{0}, Std: []float64{1}}
+	width := len(clf.Features)
+	if width != 7 {
+		t.Fatalf("features %v, want 7", clf.Features)
+	}
+	sc7 := &ml.ScalerDump{Mean: make([]float64, width), Std: make([]float64, width)}
+	for j := range sc7.Std {
+		sc7.Std[j] = 1
+	}
+	rows := func(n, w int) [][]float64 {
+		X := make([][]float64, n)
+		for i := range X {
+			X[i] = make([]float64, w)
+		}
+		return X
+	}
 	for name, m := range map[string]ml.FittedModel{
+		"tabpfn stored rows narrower than the features": {Kind: ml.KindTabPFN, Classes: 3, Bandwidth: 1, Scaler: sc7,
+			X: rows(2, 1), Yc: []int{0, 1}},
+		"knn stored rows wider than the features": {Kind: ml.KindKNN, Classes: 3, K: 1, Scaler: sc7,
+			X: rows(2, 100), Yc: []int{0, 1}},
+		"knn stored rows narrower than the features": {Kind: ml.KindKNN, Classes: 3, K: 1, Scaler: sc7,
+			X: rows(2, 3), Yc: []int{0, 1}},
 		"logistic bc cut to one entry": {Kind: ml.KindLogistic, Classes: 3, Scaler: sc,
 			WC: [][]float64{{1}, {1}, {1}}, BC: []float64{0}},
 		"logistic with one weight row": {Kind: ml.KindLogistic, Classes: 3, Scaler: sc,
@@ -548,9 +570,9 @@ train model=knn target="y"
 			Prior: []float64{0.5, 0.5}, Mean: [][]float64{{0, 0}, {0, 0}}, Vari: [][]float64{{1, 1}, {1}}},
 		"naive-bayes without classes": {Kind: ml.KindNaiveBayes},
 	} {
-		fp, rows := clf, te
+		fp, batch := clf, te
 		if m.Kind == ml.KindKNN && m.Classes == 0 {
-			fp, rows = reg, rte
+			fp, batch = reg, rte
 		}
 		bad := *fp
 		bad.Model, bad.model = &m, nil
@@ -562,10 +584,95 @@ train model=knn target="y"
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = back.Predict(rows)
+		_, err = back.Predict(batch)
 		var ae *ArtifactError
 		if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
 			t.Errorf("%s: err = %v, want artifact error %s", name, err, ErrArtifactModel)
+		}
+		if strings.Contains(name, "stored rows") && !strings.Contains(fmt.Sprint(err), "values for 7 features") {
+			t.Errorf("%s: err = %v, want the stored-row width check", name, err)
+		}
+	}
+}
+
+// panicModel is a classifier whose batch inference panics in a pool
+// task, which it re-raises on the caller as ml's batch inference does.
+type panicModel struct{}
+
+func (panicModel) FitClass([][]float64, []int, int) error { return nil }
+
+func (panicModel) Proba(X [][]float64) [][]float64 {
+	if err := pool.Each(2, 2, func(i int) error {
+		var seen map[int]bool
+		seen[i] = true // nil map: panics
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return nil
+}
+
+// TestPredictModelPanic pins the other half of the recovery point: a
+// panic in model inference, here a pool task's, is E_ARTIFACT_MODEL.
+func TestPredictModelPanic(t *testing.T) {
+	tr, te := split(messyTable(300, 3), 5)
+	_, fp := fitRoundTrip(t, &Executor{Target: "y", Task: data.Multiclass, Seed: 1}, `pipeline "panic"
+impute "num" strategy=median
+onehot "cat"
+drop "lst"
+train model=decision_tree target="y"
+`, tr, te)
+	fp.model = panicModel{}
+	_, err := fp.Predict(te)
+	var ae *ArtifactError
+	if !errors.As(err, &ae) || ae.Code != ErrArtifactModel || !strings.Contains(ae.Msg, "model inference panicked") {
+		t.Fatalf("err = %v, want artifact error %s from the model's panic", err, ErrArtifactModel)
+	}
+}
+
+// TestPredictCorruptStep pins the serving path's recovery point: a
+// recorded step that panics while it applies (here a hash_encode step
+// whose buckets field is absent, so it reads as zero and the bucket
+// index divides by it) gets E_STEP_FAILED naming the step, from both
+// Transform and Predict, instead of crashing the process.
+func TestPredictCorruptStep(t *testing.T) {
+	src := `pipeline "step"
+impute "num" strategy=median
+hash_encode "cat" buckets=8
+drop "lst"
+train model=random_forest target="y" trees=4
+`
+	tr, te := split(messyTable(300, 3), 5)
+	_, fp := fitRoundTrip(t, &Executor{Target: "y", Task: data.Multiclass, Seed: 1}, src, tr, te)
+	bad := *fp
+	bad.Steps = append([]FittedStep(nil), fp.Steps...)
+	at := -1
+	for i, st := range bad.Steps {
+		if st.Op == "hash_encode" {
+			bad.Steps[i].Buckets, at = 0, i
+		}
+	}
+	if at < 0 {
+		t.Fatalf("no hash_encode step in %+v", fp.Steps)
+	}
+	var buf bytes.Buffer
+	if err := bad.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "buckets") {
+		t.Fatal("the saved artifact still names buckets")
+	}
+	back, err := LoadFittedPipeline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("step %d (hash_encode on \"cat\") panicked", at)
+	_, terr := back.Transform(te)
+	_, perr := back.Predict(te)
+	for name, err := range map[string]error{"Transform": terr, "Predict": perr} {
+		var ae *ArtifactError
+		if !errors.As(err, &ae) || ae.Code != ErrStepFailed || !strings.Contains(ae.Msg, want) {
+			t.Errorf("%s: err = %v, want artifact error %s naming %q", name, err, ErrStepFailed, want)
 		}
 	}
 }

@@ -228,40 +228,44 @@ train model=random_forest target="y" trees=10
 // one-worker run (results and errors) at every worker count, whatever
 // the program shape.
 func TestDAGPropertyRandomPrograms(t *testing.T) {
-	mk := func() (*data.Table, *data.Table) {
-		n := 240
-		rng := rand.New(rand.NewSource(42))
-		alpha := make([]float64, n)
-		beta := make([]float64, n)
-		gamma := make([]string, n)
-		delta := make([]string, n)
-		y := make([]string, n)
-		for i := 0; i < n; i++ {
-			alpha[i] = rng.NormFloat64()
-			beta[i] = float64(i % 5)
-			gamma[i] = []string{"x", "y", "z"}[i%3]
-			delta[i] = []string{"p", "q"}[i%2]
-			y[i] = []string{"no", "yes"}[i%2]
-		}
-		tab := data.NewTable("prop")
-		tab.MustAddColumn(data.NewNumeric("alpha", alpha))
-		tab.MustAddColumn(data.NewNumeric("beta", beta))
-		tab.MustAddColumn(data.NewString("gamma", gamma))
-		tab.MustAddColumn(data.NewString("delta", delta))
-		tab.MustAddColumn(data.NewString("y", y))
-		for i := 0; i < n; i += 13 {
-			tab.Col("alpha").SetMissing(i)
-		}
-		return split(tab, 17)
-	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := genProgram(rng)
-		tr, te := mk()
+		tr, te := propTables()
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			execBothWays(t, src, tr, te, "y", data.Binary)
 		})
 	}
+}
+
+// propTables is the mixed-type binary table genProgram's programs run
+// on, split 70/30: a numeric column with gaps, a low-cardinality numeric
+// column and two string columns.
+func propTables() (*data.Table, *data.Table) {
+	n := 240
+	rng := rand.New(rand.NewSource(42))
+	alpha := make([]float64, n)
+	beta := make([]float64, n)
+	gamma := make([]string, n)
+	delta := make([]string, n)
+	y := make([]string, n)
+	for i := 0; i < n; i++ {
+		alpha[i] = rng.NormFloat64()
+		beta[i] = float64(i % 5)
+		gamma[i] = []string{"x", "y", "z"}[i%3]
+		delta[i] = []string{"p", "q"}[i%2]
+		y[i] = []string{"no", "yes"}[i%2]
+	}
+	tab := data.NewTable("prop")
+	tab.MustAddColumn(data.NewNumeric("alpha", alpha))
+	tab.MustAddColumn(data.NewNumeric("beta", beta))
+	tab.MustAddColumn(data.NewString("gamma", gamma))
+	tab.MustAddColumn(data.NewString("delta", delta))
+	tab.MustAddColumn(data.NewString("y", y))
+	for i := 0; i < n; i += 13 {
+		tab.Col("alpha").SetMissing(i)
+	}
+	return split(tab, 17)
 }
 
 // TestOpTableComplete pins the optable contract: every parseable op is

@@ -81,6 +81,9 @@ type Executor struct {
 	// record, when non-nil, collects fitted steps and the trained model
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
+	// check makes train fit the cheapest configuration of the requested
+	// model; set by Check for the duration of one Execute.
+	check bool
 }
 
 // Execute validates and runs the program on copies of train/test. The
@@ -103,6 +106,24 @@ func (e *Executor) Execute(p *Program, train, test *data.Table) (*Result, error)
 		e.Metrics.Counter("catdb_pipescript_exec_errors_total", "code", code).Inc()
 	}
 	return res, err
+}
+
+// Check runs the program exactly as Execute does (every statement with
+// its policy check, span and metrics; the matrix and target checks; the
+// model fit and the scoring of both splits), except that train fits the
+// cheapest configuration of the requested model: one tree for forests
+// and extra trees, one boosting round, one epoch for the linear models.
+// Every error a fit can return is decided from the matrix, the target
+// and the class count before its first tree, round or epoch, and sizes
+// never fail to parse, so Check fails exactly when Execute does, with
+// the same error. It returns only that error: nothing may read a score
+// of the cheap fit. Like Fit, it is not safe for concurrent use of one
+// Executor.
+func (e *Executor) Check(p *Program, train, test *data.Table) error {
+	e.check = true
+	defer func() { e.check = false }()
+	_, err := e.Execute(p, train, test)
+	return err
 }
 
 // execute is the uninstrumented body of Execute.
@@ -855,7 +876,7 @@ func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 }
 
 func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) {
-	trees := atoiOpt(st, "trees", 50)
+	trees := e.size(st, "trees", 50)
 	depth := atoiOpt(st, "depth", 0)
 	switch name {
 	case "random_forest":
@@ -863,10 +884,10 @@ func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) 
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
-		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
+		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
 			Workers: e.Workers}), nil
 	case "logistic_regression":
-		return ml.NewLogistic(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 20), Seed: e.Seed}), nil
+		return ml.NewLogistic(ml.LinearConfig{Epochs: e.size(st, "epochs", 20), Seed: e.Seed}), nil
 	case "knn":
 		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
 	case "naive_bayes":
@@ -876,14 +897,14 @@ func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) 
 	case "extra_trees":
 		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
 	case "svm":
-		return ml.NewSVM(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 10), Seed: e.Seed}), nil
+		return ml.NewSVM(ml.LinearConfig{Epochs: e.size(st, "epochs", 10), Seed: e.Seed}), nil
 	default:
 		return nil, rtErr(st.Line, ErrUnknownModel, "unknown classification model %q", name)
 	}
 }
 
 func (e *Executor) buildRegressor(st Stmt, name string) (ml.Regressor, error) {
-	trees := atoiOpt(st, "trees", 50)
+	trees := e.size(st, "trees", 50)
 	depth := atoiOpt(st, "depth", 0)
 	switch name {
 	case "random_forest":
@@ -891,12 +912,12 @@ func (e *Executor) buildRegressor(st Stmt, name string) (ml.Regressor, error) {
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
-		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
+		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
 			Workers: e.Workers}), nil
 	case "linear_regression":
-		return ml.NewLinear(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 150)}), nil
+		return ml.NewLinear(ml.LinearConfig{Epochs: e.size(st, "epochs", 150)}), nil
 	case "ridge":
-		return ml.NewLinear(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 150), L2: 0.01}), nil
+		return ml.NewLinear(ml.LinearConfig{Epochs: e.size(st, "epochs", 150), L2: 0.01}), nil
 	case "knn":
 		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
 	case "extra_trees":
@@ -904,6 +925,16 @@ func (e *Executor) buildRegressor(st Stmt, name string) (ml.Regressor, error) {
 	default:
 		return nil, rtErr(st.Line, ErrUnknownModel, "unknown regression model %q", name)
 	}
+}
+
+// size reads a model's size option (trees, rounds or epochs), or gives
+// one under Check. It cannot fail: a value that does not parse gives
+// def, and the model replaces a non-positive one with its own default.
+func (e *Executor) size(st Stmt, key string, def int) int {
+	if e.check {
+		return 1
+	}
+	return atoiOpt(st, key, def)
 }
 
 func atoiOpt(st Stmt, key string, def int) int {

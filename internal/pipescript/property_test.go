@@ -12,34 +12,40 @@ import (
 
 // genProgram builds a random syntactically-valid PipeScript program.
 func genProgram(rng *rand.Rand) string {
-	cols := []string{"alpha", "beta", "gamma", "delta"}
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline %q\n", "prop")
+	genSteps(&b, rng)
+	fmt.Fprintf(&b, "train model=random_forest target=%q trees=%d\n", "y", 5+rng.Intn(40))
+	b.WriteString("evaluate metric=auto\n")
+	return b.String()
+}
+
+// genSteps writes the header and the random preprocessing statements of
+// a generated program, over the columns alpha, beta, gamma and delta.
+func genSteps(b *strings.Builder, rng *rand.Rand) {
+	cols := []string{"alpha", "beta", "gamma", "delta"}
+	fmt.Fprintf(b, "pipeline %q\n", "prop")
 	n := 1 + rng.Intn(8)
 	for i := 0; i < n; i++ {
 		col := cols[rng.Intn(len(cols))]
 		switch rng.Intn(8) {
 		case 0:
-			fmt.Fprintf(&b, "impute %q strategy=median\n", col)
+			fmt.Fprintf(b, "impute %q strategy=median\n", col)
 		case 1:
 			b.WriteString("impute_all strategy=auto\n")
 		case 2:
-			fmt.Fprintf(&b, "onehot %q\n", col)
+			fmt.Fprintf(b, "onehot %q\n", col)
 		case 3:
-			fmt.Fprintf(&b, "scale %q method=standard\n", col)
+			fmt.Fprintf(b, "scale %q method=standard\n", col)
 		case 4:
-			fmt.Fprintf(&b, "drop %q\n", col)
+			fmt.Fprintf(b, "drop %q\n", col)
 		case 5:
-			fmt.Fprintf(&b, "clip_outliers %q method=iqr factor=1.5\n", col)
+			fmt.Fprintf(b, "clip_outliers %q method=iqr factor=1.5\n", col)
 		case 6:
-			fmt.Fprintf(&b, "hash_encode %q buckets=%d\n", col, 2+rng.Intn(64))
+			fmt.Fprintf(b, "hash_encode %q buckets=%d\n", col, 2+rng.Intn(64))
 		default:
 			b.WriteString("drop_constant\n")
 		}
 	}
-	fmt.Fprintf(&b, "train model=random_forest target=%q trees=%d\n", "y", 5+rng.Intn(40))
-	b.WriteString("evaluate metric=auto\n")
-	return b.String()
 }
 
 // Property: every generated valid program parses, and re-parsing the

@@ -123,20 +123,49 @@ func (s *FittedStep) apply(t *data.Table) error {
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
 // never mutated. Steps run in recorded order, each as one serial row
-// loop.
-func (fp *FittedPipeline) Transform(t *data.Table) (*data.Table, error) {
+// loop. A step that panics is an E_STEP_FAILED artifact error naming it.
+func (fp *FittedPipeline) Transform(t *data.Table) (out *data.Table, err error) {
+	step := -1
+	defer fp.recoverServing(&step, &err)
+	return fp.transform(t, &step)
+}
+
+// transform is the body of Transform. It keeps *step at the index of the
+// step being applied, and at -1 outside the steps, for recoverServing.
+func (fp *FittedPipeline) transform(t *data.Table, step *int) (*data.Table, error) {
 	out := t.Clone()
 	for i := range fp.Steps {
-		step := &fp.Steps[i]
+		*step = i
+		s := &fp.Steps[i]
 		start := obs.Now()
-		if err := step.apply(out); err != nil {
-			return nil, artErr(ErrStepFailed, "step %d (%s on %q): %v", i, step.Op, step.Col, err)
+		if err := s.apply(out); err != nil {
+			return nil, artErr(ErrStepFailed, "step %d (%s on %q): %v", i, s.Op, s.Col, err)
 		}
 		// Nil-registry calls are free, so no conditional is needed here.
 		fp.Metrics.Histogram("catdb_transform_stage_seconds", transformBuckets,
-			"op", step.Op).Observe(obs.Since(start).Seconds())
+			"op", s.Op).Observe(obs.Since(start).Seconds())
 	}
+	*step = -1
 	return out, nil
+}
+
+// recoverServing is the serving path's one recovery point, as execStmt
+// is the executor's; Transform and Predict each defer it once per call.
+// A panic while step *step applies becomes E_STEP_FAILED naming the step
+// and its op. Any other panic is in model inference (a pool task's panic
+// included, which batch inference re-raises on the caller) and becomes
+// E_ARTIFACT_MODEL.
+func (fp *FittedPipeline) recoverServing(step *int, err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if i := *step; i >= 0 && i < len(fp.Steps) {
+		s := &fp.Steps[i]
+		*err = artErr(ErrStepFailed, "step %d (%s on %q) panicked: %v", i, s.Op, s.Col, r)
+		return
+	}
+	*err = artErr(ErrArtifactModel, "model inference panicked: %v", r)
 }
 
 // Predictions is the output of scoring a row batch with an artifact.
@@ -161,6 +190,17 @@ func (fp *FittedPipeline) liveModel() (any, error) {
 	m, err := fp.Model.Model(fp.Workers)
 	if err != nil {
 		return nil, artErr(ErrArtifactModel, "%v", err)
+	}
+	// The instance stores compare each stored row with the query value by
+	// value, and only here is the query's width known: a wider stored row
+	// would index past the query, and a narrower one would score a prefix.
+	if k := fp.Model.Kind; k == ml.KindKNN || k == ml.KindTabPFN {
+		for i, row := range fp.Model.X {
+			if len(row) != len(fp.Features) {
+				return nil, artErr(ErrArtifactModel, "%s dump stores row %d with %d values for %d features",
+					k, i, len(row), len(fp.Features))
+			}
+		}
 	}
 	fp.model = m
 	return m, nil
@@ -189,7 +229,9 @@ func (fp *FittedPipeline) Predict(t *data.Table) (*Predictions, error) {
 	return p, err
 }
 
-func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
+func (fp *FittedPipeline) predict(t *data.Table) (_ *Predictions, err error) {
+	step := -1
+	defer fp.recoverServing(&step, &err)
 	if fp.Version != ArtifactVersion {
 		return nil, artErr(ErrArtifactVersion,
 			"artifact version %d, this build reads version %d", fp.Version, ArtifactVersion)
@@ -197,7 +239,7 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 	if fp.Model == nil {
 		return nil, artErr(ErrArtifactModel, "artifact carries no model")
 	}
-	tt, err := fp.Transform(t)
+	tt, err := fp.transform(t, &step)
 	if err != nil {
 		return nil, err
 	}
