@@ -54,10 +54,25 @@ lint-fmt:
 # SetNum/...): only internal/data may touch the backing slices, and the
 # Touch() invalidation contract is gone. Fail on any reference to the old
 # exported field names (or Touch) outside internal/data.
+#
+# A table's name index is only as current as its writers (AddColumn,
+# DropColumn, ReplaceColumn), so outside internal/data a Table's Cols is
+# read-only and a column in it keeps its Name. Fail on assignment, index
+# assignment, append, copy or sort/slices reorder of a Cols field, or a
+# Name assignment through one, outside internal/data. The match is
+# textual: internal/prompt's own Cols fields (column metadata, not
+# tables) are left out, and no other package names a field Cols it
+# writes.
 lint-encapsulation:
 	@matches=$$(grep -rnE '\.(Nums|Strs|Missing)\b|\.Touch\(' --include='*.go' --exclude-dir=data .); \
 	if [ -n "$$matches" ]; then \
 		echo "lint-encapsulation: direct column-storage access outside internal/data:"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
+	@matches=$$(grep -rnE '\.Cols(\[[^]]*\])?(\.Name)? *(=[^=]|,[^=]*[^=!<>:]=[^=])|(append|copy)\( *[A-Za-z_][A-Za-z0-9_.]*\.Cols\b|(sort|slices)\.[A-Za-z]+\( *[A-Za-z_][A-Za-z0-9_.]*\.Cols\b' --include='*.go' --exclude-dir=data --exclude-dir=prompt .); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-encapsulation: write to a table's Cols outside internal/data (use AddColumn/DropColumn/ReplaceColumn):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -144,14 +159,16 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 # exec lanes are single passes: their baseline blocks are earlier
 # captures (the map-based summary; the statement DAG), which benchjson
 # preserves. The predict lane runs its 500k-row batch at its own
-# iteration count and folds both runs into one file.
+# iteration count and folds both runs into one file; its single-row rows
+# include a serve-shaped 17-column row widened to 100 features
+# (BenchmarkPredictSingleRowWide).
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
-	{ $(GO) test -run='^$$' -bench='^BenchmarkPredict(SingleRow|Batch)$$' -benchtime=300x -count=5 ./internal/pipescript/; \
+	{ $(GO) test -run='^$$' -bench='^BenchmarkPredict(SingleRow|SingleRowWide|Batch)$$' -benchmem -benchtime=300x -count=5 ./internal/pipescript/; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json

@@ -35,7 +35,11 @@ import (
 type (
 	// Dataset is a possibly multi-table dataset with target and task.
 	Dataset = data.Dataset
-	// Table is a single in-memory table.
+	// Table is a single in-memory table. Its Cols slice is read-only to
+	// callers: change columns through AddColumn, DropColumn and
+	// ReplaceColumn, and do not rename a column while it belongs to a
+	// table, because column names resolve through an index those methods
+	// keep current.
 	Table = data.Table
 	// Column is one typed column with a missing-value mask.
 	Column = data.Column

@@ -7,12 +7,25 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // Table is an ordered collection of equal-length columns.
+//
+// Col, ColIndex and AddColumn's duplicate check resolve names through an
+// index the table owns (see nameIndex): built on the first lookup, and
+// kept current by AddColumn, DropColumn and ReplaceColumn; a Clone or
+// SelectRows result builds its own. The index is only as current as
+// those writers, so outside this package Cols is read-only (`make
+// lint-encapsulation` fails on assignment, index assignment, append or
+// reorder of it; a lookup rebuilds an index whose column count differs
+// from len(Cols)), and a column's Name must not change while the column
+// belongs to a table. A Table must not be copied by value.
 type Table struct {
 	Name string
 	Cols []*Column
+
+	idx atomic.Pointer[nameIndex] // nil until the first lookup
 }
 
 // NewTable returns an empty table with the given name.
@@ -29,25 +42,17 @@ func (t *Table) NumRows() int {
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.Cols) }
 
-// Col returns the column with the given name, or nil if absent.
+// Col returns the first column with the given name, or nil if absent.
 func (t *Table) Col(name string) *Column {
-	for _, c := range t.Cols {
-		if c.Name == name {
-			return c
-		}
+	if i := t.index().find(t.Cols, name); i >= 0 {
+		return t.Cols[i]
 	}
 	return nil
 }
 
-// ColIndex returns the position of the named column, or -1.
-func (t *Table) ColIndex(name string) int {
-	for i, c := range t.Cols {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
+// ColIndex returns the position of the first column with the given
+// name, or -1.
+func (t *Table) ColIndex(name string) int { return t.index().find(t.Cols, name) }
 
 // ColumnNames returns the column names in order.
 func (t *Table) ColumnNames() []string {
@@ -64,10 +69,15 @@ func (t *Table) AddColumn(c *Column) error {
 	if len(t.Cols) > 0 && c.Len() != t.NumRows() {
 		return fmt.Errorf("data: column %q has %d rows, table %q has %d", c.Name, c.Len(), t.Name, t.NumRows())
 	}
-	if t.Col(c.Name) != nil {
+	h := nameHash(c.Name)
+	if _, pos := t.index().probe(t.Cols, c.Name, h); pos >= 0 {
 		return fmt.Errorf("data: duplicate column %q in table %q", c.Name, t.Name)
 	}
 	t.Cols = append(t.Cols, c)
+	if ix := t.writableIndex(); ix != nil {
+		ix.insert(t.Cols, len(t.Cols)-1, h)
+		ix.cols++
+	}
 	return nil
 }
 
@@ -79,22 +89,41 @@ func (t *Table) MustAddColumn(c *Column) {
 	}
 }
 
-// DropColumn removes the named column; it reports whether it was present.
+// DropColumn removes the first column with the given name; it reports
+// whether one was present.
 func (t *Table) DropColumn(name string) bool {
 	i := t.ColIndex(name)
 	if i < 0 {
 		return false
 	}
+	if ix := t.writableIndex(); ix != nil {
+		ix.unlink(t.Cols, i)
+		ix.shiftDown(i)
+		ix.cols--
+	}
 	t.Cols = append(t.Cols[:i], t.Cols[i+1:]...)
 	return true
 }
 
-// ReplaceColumn swaps the named column for c (same name requirement is not
-// enforced; c keeps its own name). It reports whether name was present.
+// ReplaceColumn swaps the first column with the given name for c (same
+// name requirement is not enforced; c keeps its own name, which may
+// repeat another column's). It reports whether name was present.
 func (t *Table) ReplaceColumn(name string, c *Column) bool {
 	i := t.ColIndex(name)
 	if i < 0 {
 		return false
+	}
+	if c.Name != name {
+		if ix := t.writableIndex(); ix != nil {
+			if ix.find(t.Cols, c.Name) >= 0 {
+				t.idx.Store(nil) // the rename repeats a name: rebuild on the next lookup
+			} else {
+				ix.unlink(t.Cols, i)
+				t.Cols[i] = c
+				ix.insert(t.Cols, i, nameHash(c.Name))
+				return true
+			}
+		}
 	}
 	t.Cols[i] = c
 	return true

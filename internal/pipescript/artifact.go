@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"catdb/internal/data"
 	"catdb/internal/ml"
@@ -63,6 +65,12 @@ type FittedStep struct {
 // Applying it to new rows (Transform/Predict) touches only feature
 // columns — steps addressing the label column are evaluation-only and
 // never recorded, so a serving artifact cannot read or write labels.
+//
+// Transform and Predict are safe for concurrent use. The first call
+// derives, once, each step's compiled state, and the first Predict the
+// live model (see compiledSteps and liveModel); the recorded fields and
+// Workers must not change after that, and a FittedPipeline must not be
+// copied by value.
 type FittedPipeline struct {
 	Version   int             `json:"version"`
 	Pipeline  string          `json:"pipeline,omitempty"` // source program name
@@ -76,14 +84,21 @@ type FittedPipeline struct {
 
 	// Runtime settings — never serialized. Workers bounds the goroutines
 	// inference uses (0 = GOMAXPROCS, 1 = serial; predictions are
-	// identical at any setting). Metrics, when set, records per-stage
-	// transform latencies and prediction counters; nil disables with
-	// zero overhead.
+	// identical at any setting); the first Predict reads it. Metrics, when
+	// set, records per-stage transform latencies and prediction counters,
+	// through instruments resolved once per registry; nil reads no clock
+	// and touches no registry.
 	Workers int           `json:"-"`
 	Metrics *obs.Registry `json:"-"`
 
-	// model caches the reconstructed live model across Predict calls.
-	model any
+	// Derived once each, read-only afterwards: Steps' compiled state, and
+	// the live model or the error reconstructing it.
+	stepsOnce, modelOnce sync.Once
+	compiled             []compiledStep
+	model                any
+	modelErr             error
+	// handles caches the instruments resolved from Metrics.
+	handles atomic.Pointer[servingMetrics]
 }
 
 // Save writes the artifact as deterministic JSON: struct fields encode
@@ -183,5 +198,6 @@ func (e *Executor) recordAndApply(step FittedStep, te *data.Table) error {
 	if e.record != nil && !step.touchesTarget(e.Target) {
 		e.record.Steps = append(e.record.Steps, step)
 	}
-	return step.apply(te)
+	cs := step.compile()
+	return step.apply(te, &cs)
 }

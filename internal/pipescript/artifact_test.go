@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"catdb/internal/data"
@@ -61,6 +62,22 @@ func fitRoundTrip(t *testing.T, ex *Executor, src string, tr, te *data.Table) (*
 	return res, back
 }
 
+// reload returns a fresh copy of fp through a Save/Load round trip. A
+// FittedPipeline is not copied by value, and a fresh one derives its live
+// model again, at its own Workers, on its first Predict.
+func reload(t *testing.T, fp *FittedPipeline) *FittedPipeline {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fp.Save(&buf); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	back, err := LoadFittedPipeline(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return back
+}
+
 func TestArtifactClassificationBitIdentical(t *testing.T) {
 	src := `pipeline "clf"
 impute "num" strategy=median
@@ -81,8 +98,8 @@ evaluate metric=auto
 				t.Fatalf("%s: no captured test probabilities", model)
 			}
 			for _, predWorkers := range []int{1, 4} {
+				fp := reload(t, fp) // a fresh live model at this worker count
 				fp.Workers = predWorkers
-				fp.model = nil // force re-instantiation at this worker count
 				pred, err := fp.Predict(te)
 				if err != nil {
 					t.Fatalf("%s: predict: %v", model, err)
@@ -124,8 +141,8 @@ evaluate metric=auto
 			t.Fatalf("%s: no captured test predictions", model)
 		}
 		for _, predWorkers := range []int{1, 4} {
+			fp := reload(t, fp)
 			fp.Workers = predWorkers
-			fp.model = nil
 			pred, err := fp.Predict(te)
 			if err != nil {
 				t.Fatalf("%s: predict: %v", model, err)
@@ -283,6 +300,7 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
+		fp := reload(t, fp) // Workers is read once, by the first Predict
 		fp.Workers = w
 		gotT, err := fp.Transform(batch)
 		if err != nil {
@@ -396,7 +414,7 @@ evaluate metric=auto
 		}
 	})
 	t.Run("version_mismatch", func(t *testing.T) {
-		bad := *fp
+		bad := reload(t, fp)
 		bad.Version = ArtifactVersion + 1
 		_, err := bad.Predict(te)
 		wantCode(t, err, ErrArtifactVersion)
@@ -408,13 +426,13 @@ evaluate metric=auto
 		wantCode(t, err, ErrArtifactVersion)
 	})
 	t.Run("no_model", func(t *testing.T) {
-		bad := *fp
+		bad := reload(t, fp)
 		bad.Model = nil
 		_, err := bad.Predict(te)
 		wantCode(t, err, ErrArtifactModel)
 	})
 	t.Run("unknown_step", func(t *testing.T) {
-		bad := *fp
+		bad := reload(t, fp)
 		bad.Steps = append([]FittedStep{{Op: "no_such_op", Col: "num"}}, fp.Steps...)
 		_, err := bad.Predict(te)
 		wantCode(t, err, ErrStepFailed)
@@ -449,8 +467,8 @@ evaluate metric=auto
 		"extra-trees negative class": {Kind: ml.KindExtraTrees, Classes: -1, Trees: one(leaf(1))},
 		"gbm negative classes":       {Kind: ml.KindGBM, Classes: -1, Trees: one(leaf(1))},
 	} {
-		bad := *fp
-		bad.Model, bad.model = &m, nil
+		bad := reload(t, fp)
+		bad.Model = &m
 		var buf bytes.Buffer
 		if err := bad.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -484,8 +502,8 @@ train model=linear_regression target="y"
 	}
 	m := *fp.Model
 	m.Scaler = &ml.ScalerDump{Mean: []float64{0, 0, 0}, Std: []float64{1}}
-	bad := *fp
-	bad.Model, bad.model = &m, nil
+	bad := reload(t, fp)
+	bad.Model = &m
 	var buf bytes.Buffer
 	if err := bad.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -574,8 +592,8 @@ train model=knn target="y"
 		if m.Kind == ml.KindKNN && m.Classes == 0 {
 			fp, batch = reg, rte
 		}
-		bad := *fp
-		bad.Model, bad.model = &m, nil
+		bad := reload(t, fp)
+		bad.Model = &m
 		var buf bytes.Buffer
 		if err := bad.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -622,6 +640,7 @@ onehot "cat"
 drop "lst"
 train model=decision_tree target="y"
 `, tr, te)
+	fp.liveModel()
 	fp.model = panicModel{}
 	_, err := fp.Predict(te)
 	var ae *ArtifactError
@@ -644,8 +663,7 @@ train model=random_forest target="y" trees=4
 `
 	tr, te := split(messyTable(300, 3), 5)
 	_, fp := fitRoundTrip(t, &Executor{Target: "y", Task: data.Multiclass, Seed: 1}, src, tr, te)
-	bad := *fp
-	bad.Steps = append([]FittedStep(nil), fp.Steps...)
+	bad := reload(t, fp)
 	at := -1
 	for i, st := range bad.Steps {
 		if st.Op == "hash_encode" {
@@ -710,6 +728,94 @@ evaluate metric=auto
 	for _, want := range []string{"catdb_predict_seconds", "catdb_transform_stage_seconds"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("prom output missing %s", want)
+		}
+	}
+}
+
+// TestPredictConcurrent pins the concurrency contract: goroutines that
+// call Predict on one freshly loaded artifact, each with the whole batch
+// and then every single row, get exactly the serial predictions, with
+// and without a registry attached. Under `make race` it also checks that
+// the first calls, which derive the live model and the compiled steps,
+// do not race.
+func TestPredictConcurrent(t *testing.T) {
+	src := `pipeline "concurrent"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+scale all_numeric method=standard
+train model=random_forest target="y" trees=8
+`
+	tr, te := split(messyTable(400, 4), 3)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
+	_, fp, err := ex.Fit(mustParse(t, src), tr, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := fp.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *FittedPipeline {
+		back, err := LoadFittedPipeline(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	batch := te.Clone()
+	batch.DropColumn("y")
+	rows := make([]*data.Table, 16)
+	for i := range rows {
+		rows[i] = batch.SelectRows([]int{i})
+	}
+	serial := load()
+	wantBatch, err := serial.Predict(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := make([]*Predictions, len(rows))
+	for i, row := range rows {
+		if wantRows[i], err = serial.Predict(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 6
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		shared := load()
+		shared.Metrics = reg
+		errs := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got, err := shared.Predict(batch)
+				if err != nil || !reflect.DeepEqual(got, wantBatch) {
+					errs <- fmt.Errorf("goroutine %d: batch predictions differ from the serial ones (err %v)", g, err)
+					return
+				}
+				for i := range rows {
+					k := (i + g) % len(rows)
+					got, err := shared.Predict(rows[k])
+					if err != nil || !reflect.DeepEqual(got, wantRows[k]) {
+						errs <- fmt.Errorf("goroutine %d: row %d differs from the serial prediction (err %v)", g, k, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if reg != nil {
+			want := int64(goroutines * (batch.NumRows() + len(rows)))
+			if got := reg.Counter("catdb_predict_rows_total").Value(); got != want {
+				t.Errorf("rows counter = %d, want %d", got, want)
+			}
 		}
 	}
 }

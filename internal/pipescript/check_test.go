@@ -218,7 +218,7 @@ func TestCheckMatchesExecute(t *testing.T) {
 	}
 
 	for seed := int64(0); seed < 40; seed++ {
-		tr, te := propTables()
+		tr, te := propTables(true)
 		checkMatchesExecute(t, Executor{Target: "y", Task: data.Binary, Seed: 1},
 			genProgram(rand.New(rand.NewSource(seed))), tr, te)
 	}

@@ -2,7 +2,9 @@ package pipescript
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -226,22 +228,93 @@ train model=random_forest target="y" trees=10
 
 // Randomized programs over a mixed-type table must reproduce the
 // one-worker run (results and errors) at every worker count, whatever
-// the program shape.
+// the program shape. The table comes in two kinds: with gamma and delta
+// as strings, where almost no program reaches train, and as numeric
+// codes, where most do. Every program that fits must also serve (see
+// servesAsCaptured), which drives the table's name index through random
+// onehot, drop, hash_encode and drop_constant sequences.
 func TestDAGPropertyRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		src := genProgram(rng)
-		tr, te := propTables()
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			execBothWays(t, src, tr, te, "y", data.Binary)
-		})
+	fits, refused := map[bool]int{}, 0
+	for _, strs := range []bool{true, false} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			src := genProgram(rng)
+			tr, te := propTables(strs)
+			name := fmt.Sprintf("seed%d", seed)
+			if !strs {
+				name = "codes/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				if _, err := execBothWays(t, src, tr, te, "y", data.Binary); err == nil {
+					fits[strs]++
+					refused += servesAsCaptured(t, src, tr, te)
+				}
+			})
+		}
 	}
+	t.Logf("programs that fit: %d of 40 on strings, %d of 40 on codes; %d test rows refused with %s",
+		fits[true], fits[false], refused, ErrFeatureNaN)
+	if fits[false] == 0 {
+		t.Fatal("no program over the coded table reached a fit")
+	}
+}
+
+// servesAsCaptured fits src, saves and loads the artifact, and requires
+// it to predict te's rows bit for bit as the executor's capture did, row
+// by row and then as one batch. Rows that Predict refuses with
+// E_FEATURE_NAN (a gap the program imputes only where train had one) are
+// left out of the batch, as e2ebench leaves them out of serving; it
+// returns how many there were.
+func servesAsCaptured(t *testing.T, src string, tr, te *data.Table) int {
+	t.Helper()
+	res, fp := fitRoundTrip(t, &Executor{Target: "y", Task: data.Binary, Seed: 1}, src, tr, te)
+	rows := te.Clone()
+	rows.DropColumn("y")
+	same := func(p *Predictions, i, k int) bool {
+		return math.Float64bits(p.Values[k]) == math.Float64bits(res.TestPredictions[i]) &&
+			p.Labels[k] == res.TestLabels[i] && reflect.DeepEqual(p.Proba[k], res.TestProba[i])
+	}
+	var keep []int
+	for i := 0; i < rows.NumRows(); i++ {
+		p, err := fp.Predict(rows.SelectRows([]int{i}))
+		var ae *ArtifactError
+		if errors.As(err, &ae) && ae.Code == ErrFeatureNaN {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("row %d: %v\n%s", i, err, src)
+		}
+		if !same(p, i, 0) {
+			t.Fatalf("row %d: served %v %v, captured %v %v\n%s", i, p.Values, p.Proba,
+				res.TestPredictions[i], res.TestProba[i], src)
+		}
+		keep = append(keep, i)
+	}
+	if len(keep) == 0 {
+		return rows.NumRows()
+	}
+	// Without the label the transformed batch is the features in order;
+	// with it, Predict resolves them by name. Both must serve the capture.
+	for _, batch := range []*data.Table{rows.SelectRows(keep), te.SelectRows(keep)} {
+		p, err := fp.Predict(batch)
+		if err != nil {
+			t.Fatalf("batch of %d servable rows: %v\n%s", len(keep), err, src)
+		}
+		for k, i := range keep {
+			if !same(p, i, k) {
+				t.Fatalf("batch row %d: served %v, captured %v\n%s", i, p.Values[k], res.TestPredictions[i], src)
+			}
+		}
+	}
+	return rows.NumRows() - len(keep)
 }
 
 // propTables is the mixed-type binary table genProgram's programs run
 // on, split 70/30: a numeric column with gaps, a low-cardinality numeric
-// column and two string columns.
-func propTables() (*data.Table, *data.Table) {
+// column and two categorical columns, gamma and delta. With strs they
+// are strings; without, they hold their categories as numeric codes, as
+// fuzzTables builds them.
+func propTables(strs bool) (*data.Table, *data.Table) {
 	n := 240
 	rng := rand.New(rand.NewSource(42))
 	alpha := make([]float64, n)
@@ -259,8 +332,13 @@ func propTables() (*data.Table, *data.Table) {
 	tab := data.NewTable("prop")
 	tab.MustAddColumn(data.NewNumeric("alpha", alpha))
 	tab.MustAddColumn(data.NewNumeric("beta", beta))
-	tab.MustAddColumn(data.NewString("gamma", gamma))
-	tab.MustAddColumn(data.NewString("delta", delta))
+	if strs {
+		tab.MustAddColumn(data.NewString("gamma", gamma))
+		tab.MustAddColumn(data.NewString("delta", delta))
+	} else {
+		tab.MustAddColumn(data.NewNumeric("gamma", codes(gamma)))
+		tab.MustAddColumn(data.NewNumeric("delta", codes(delta)))
+	}
 	tab.MustAddColumn(data.NewString("y", y))
 	for i := 0; i < n; i += 13 {
 		tab.Col("alpha").SetMissing(i)

@@ -381,7 +381,7 @@ func (e *Executor) execOnehot(st Stmt, c *execCtx) error {
 	if err := c.capOK(st.Line, "one-hot", col.Name, len(cats)); err != nil {
 		return err
 	}
-	if err := oneHot(c.tr, col.Name, cats); err != nil {
+	if err := oneHot(c.tr, col.Name, newCatEncoding(col.Name, cats)); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "onehot", Col: col.Name, Cats: cats}, st.Line, ErrUnknownColumn)
@@ -511,11 +511,7 @@ func (e *Executor) execDedupValues(st Stmt, c *execCtx) error {
 		return rtErr(st.Line, ErrTypeMismatch, "dedup_values needs a string column, %q is %s", col.Name, col.Kind)
 	}
 	mapping := DedupMapping(col)
-	byNormal := map[string]string{}
-	for raw, canon := range mapping {
-		byNormal[NormalizeValue(raw)] = canon
-	}
-	applyMapping(col, mapping, byNormal)
+	applyMapping(col, mapping, normalizedMap(mapping))
 	return c.apply(FittedStep{Op: "dedup_values", Col: col.Name, ValueMap: mapping}, st.Line, "")
 }
 
@@ -862,9 +858,15 @@ func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 	for j, n := range names {
 		cols[j] = t.Col(n)
 	}
-	X := make([][]float64, t.NumRows())
+	return columnMatrix(cols, t.NumRows()), names
+}
+
+// columnMatrix lays n rows of cols out row by row, reading a nil,
+// non-numeric or short column as zeros.
+func columnMatrix(cols []*data.Column, n int) [][]float64 {
+	X := make([][]float64, n)
 	for i := range X {
-		row := make([]float64, len(names))
+		row := make([]float64, len(cols))
 		for j, c := range cols {
 			if c != nil && c.Kind.IsNumeric() && i < c.Len() {
 				row[j] = c.Num(i)
@@ -872,7 +874,7 @@ func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 		}
 		X[i] = row
 	}
-	return X, names
+	return X
 }
 
 func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) {

@@ -188,62 +188,87 @@ func topCategories(c *data.Column, max int) []string {
 	return keys
 }
 
-// oneHot replaces col with 0/1 indicator columns for cats.
-func oneHot(t *data.Table, col string, cats []string) error {
+// catEncoding is the output side of a one-hot or k-hot step: one
+// indicator column per category, named encodedName(col, cat), and the
+// category → column map. It depends only on the step's parameters, so a
+// fitted artifact derives it once.
+type catEncoding struct {
+	names []string
+	index map[string]int
+}
+
+// newCatEncoding derives the encoding of col over cats. A category that
+// repeats maps to its last column, as it always has.
+func newCatEncoding(col string, cats []string) *catEncoding {
+	enc := &catEncoding{names: make([]string, len(cats)), index: make(map[string]int, len(cats))}
+	for j, cat := range cats {
+		enc.names[j] = encodedName(col, cat)
+		enc.index[cat] = j
+	}
+	return enc
+}
+
+// oneHot replaces col with 0/1 indicator columns for enc's categories.
+func oneHot(t *data.Table, col string, enc *catEncoding) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
 	}
 	n := c.Len()
-	idx := make(map[string]int, len(cats))
-	vals := make([][]float64, len(cats))
-	for j, cat := range cats {
-		idx[cat] = j
-		vals[j] = make([]float64, n)
-	}
+	vals := indicatorVals(len(enc.names), n)
 	for i := 0; i < n; i++ {
 		if c.IsMissing(i) {
 			continue
 		}
-		if j, ok := idx[c.ValueString(i)]; ok {
+		if j, ok := enc.index[c.ValueString(i)]; ok {
 			vals[j][i] = 1
 		}
 	}
-	t.DropColumn(col)
-	for j, cat := range cats {
-		if err := t.AddColumn(data.NewNumeric(encodedName(col, cat), vals[j])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return replaceWithIndicators(t, col, enc, vals)
 }
 
 // KHot replaces a list column with per-item indicator columns.
 func KHot(t *data.Table, col string, items []string) error {
+	return kHot(t, col, newCatEncoding(col, items))
+}
+
+// kHot is KHot over a derived encoding of the item vocabulary.
+func kHot(t *data.Table, col string, enc *catEncoding) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
 	}
 	n := c.Len()
-	idx := make(map[string]int, len(items))
-	vals := make([][]float64, len(items))
-	for j, item := range items {
-		idx[item] = j
-		vals[j] = make([]float64, n)
-	}
+	vals := indicatorVals(len(enc.names), n)
 	for i := 0; i < n; i++ {
 		if c.IsMissing(i) {
 			continue
 		}
 		for _, part := range strings.Split(c.Str(i), ",") {
-			if j, ok := idx[strings.TrimSpace(part)]; ok {
+			if j, ok := enc.index[strings.TrimSpace(part)]; ok {
 				vals[j][i] = 1
 			}
 		}
 	}
+	return replaceWithIndicators(t, col, enc, vals)
+}
+
+// indicatorVals returns k zeroed n-cell value slices, one per indicator
+// column.
+func indicatorVals(k, n int) [][]float64 {
+	vals := make([][]float64, k)
+	for j := range vals {
+		vals[j] = make([]float64, n)
+	}
+	return vals
+}
+
+// replaceWithIndicators drops col and appends one numeric column per
+// encoded name, over vals.
+func replaceWithIndicators(t *data.Table, col string, enc *catEncoding, vals [][]float64) error {
 	t.DropColumn(col)
-	for j, item := range items {
-		if err := t.AddColumn(data.NewNumeric(encodedName(col, item), vals[j])); err != nil {
+	for _, c := range data.NewNumerics(enc.names, vals) {
+		if err := t.AddColumn(c); err != nil {
 			return err
 		}
 	}
@@ -468,6 +493,16 @@ func DedupMapping(c *data.Column) map[string]string {
 	return out
 }
 
+// normalizedMap keys a raw→canonical mapping by each raw value's normal
+// form, the second lookup applyMapping makes.
+func normalizedMap(mapping map[string]string) map[string]string {
+	byNormal := make(map[string]string, len(mapping))
+	for raw, canon := range mapping {
+		byNormal[NormalizeValue(raw)] = canon
+	}
+	return byNormal
+}
+
 // applyMapping rewrites string cells through the mapping; unmapped values
 // are normalized and re-looked-up so unseen test variants still collapse.
 func applyMapping(c *data.Column, mapping map[string]string, byNormal map[string]string) {
@@ -590,9 +625,5 @@ func ListItems(c *data.Column, max int) []string { return listItems(c, max) }
 // ApplyValueMapping rewrites string cells through a raw→canonical mapping,
 // normalizing unmapped values before a second lookup.
 func ApplyValueMapping(c *data.Column, mapping map[string]string) {
-	byNormal := map[string]string{}
-	for raw, canon := range mapping {
-		byNormal[NormalizeValue(raw)] = canon
-	}
-	applyMapping(c, mapping, byNormal)
+	applyMapping(c, mapping, normalizedMap(mapping))
 }

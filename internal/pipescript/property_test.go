@@ -137,7 +137,7 @@ func TestPropertyOneHotRowSums(t *testing.T) {
 		t := data.NewTable("t")
 		t.MustAddColumn(c.Clone())
 		cats := topCategories(c, 10)
-		if err := oneHot(t, "c", cats); err != nil {
+		if err := oneHot(t, "c", newCatEncoding("c", cats)); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -47,10 +47,32 @@ func artErr(code, format string, args ...interface{}) *ArtifactError {
 // transform work and single-row predictions sit well under a millisecond.
 var transformBuckets = append([]float64{0.00001, 0.00005, 0.0001, 0.0005}, obs.DefBuckets...)
 
-// apply applies one recorded step to a table. Columns absent from the
-// batch are skipped, matching how the executor treats the evaluation
-// split; this is the single implementation both paths share.
-func (s *FittedStep) apply(t *data.Table) error {
+// compiledStep is what a recorded step's parameters imply for every
+// batch: the encoded output names and category → column map of onehot
+// and khot, and dedup_values' normalized map. A FittedPipeline derives
+// it once per step and keeps it beside Steps, so the artifact's JSON
+// does not change.
+type compiledStep struct {
+	enc      *catEncoding
+	byNormal map[string]string
+}
+
+// compile derives the step's per-batch state from its parameters.
+func (s *FittedStep) compile() compiledStep {
+	switch s.Op {
+	case "onehot", "khot":
+		return compiledStep{enc: newCatEncoding(s.Col, s.Cats)}
+	case "dedup_values":
+		return compiledStep{byNormal: normalizedMap(s.ValueMap)}
+	}
+	return compiledStep{}
+}
+
+// apply applies one recorded step to a table, with cs the step's
+// compiled state. Columns absent from the batch are skipped, matching
+// how the executor treats the evaluation split; this is the single
+// implementation both paths share.
+func (s *FittedStep) apply(t *data.Table, cs *compiledStep) error {
 	switch s.Op {
 	case "impute":
 		if c := t.Col(s.Col); c != nil {
@@ -66,11 +88,11 @@ func (s *FittedStep) apply(t *data.Table) error {
 		}
 	case "onehot":
 		if t.Col(s.Col) != nil {
-			return oneHot(t, s.Col, s.Cats)
+			return oneHot(t, s.Col, cs.enc)
 		}
 	case "khot":
 		if t.Col(s.Col) != nil {
-			return KHot(t, s.Col, s.Cats)
+			return kHot(t, s.Col, cs.enc)
 		}
 	case "hash_encode":
 		if t.Col(s.Col) != nil {
@@ -94,11 +116,7 @@ func (s *FittedStep) apply(t *data.Table) error {
 		}
 	case "dedup_values":
 		if c := t.Col(s.Col); c != nil {
-			byNormal := map[string]string{}
-			for raw, canon := range s.ValueMap {
-				byNormal[NormalizeValue(raw)] = canon
-			}
-			applyMapping(c, s.ValueMap, byNormal)
+			applyMapping(c, s.ValueMap, cs.byNormal)
 		}
 	case "bin_numeric":
 		if c := t.Col(s.Col); c != nil {
@@ -120,6 +138,93 @@ func (s *FittedStep) apply(t *data.Table) error {
 	return nil
 }
 
+// compiledSteps returns each recorded step's compiled state, derived
+// under stepsOnce by the first Transform or Predict and read-only
+// afterwards.
+func (fp *FittedPipeline) compiledSteps() []compiledStep {
+	fp.stepsOnce.Do(func() {
+		fp.compiled = make([]compiledStep, len(fp.Steps))
+		for i := range fp.Steps {
+			fp.compiled[i] = fp.Steps[i].compile()
+		}
+	})
+	return fp.compiled
+}
+
+// liveModel returns the model the artifact carries, or the error
+// reconstructing it, both derived under modelOnce by the first Predict
+// and read-only afterwards. Transform never needs the model, so it never
+// builds one.
+func (fp *FittedPipeline) liveModel() (any, error) {
+	fp.modelOnce.Do(func() { fp.model, fp.modelErr = fp.buildModel() })
+	return fp.model, fp.modelErr
+}
+
+// buildModel reconstructs the model the artifact carries. A panic while
+// it does is an error too, so that liveModel memoizes it.
+func (fp *FittedPipeline) buildModel() (m any, err error) {
+	if fp.Model == nil {
+		return nil, artErr(ErrArtifactModel, "artifact carries no model")
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = nil, artErr(ErrArtifactModel, "model reconstruction panicked: %v", r)
+		}
+	}()
+	m, err = fp.Model.Model(fp.Workers)
+	if err != nil {
+		return nil, artErr(ErrArtifactModel, "%v", err)
+	}
+	// The instance stores compare each stored row with the query value by
+	// value, and only here is the query's width known: a wider stored row
+	// would index past the query, and a narrower one would score a prefix.
+	if k := fp.Model.Kind; k == ml.KindKNN || k == ml.KindTabPFN {
+		for i, row := range fp.Model.X {
+			if len(row) != len(fp.Features) {
+				return nil, artErr(ErrArtifactModel, "%s dump stores row %d with %d values for %d features",
+					k, i, len(row), len(fp.Features))
+			}
+		}
+	}
+	return m, nil
+}
+
+// servingMetrics are the instruments Transform and Predict record into,
+// resolved from one registry once instead of by name on every step: a
+// stage histogram per recorded step (steps of one op share it), the
+// call histogram, and the row and batch counters.
+type servingMetrics struct {
+	reg           *obs.Registry
+	stages        []*obs.Histogram
+	predict       *obs.Histogram
+	rows, batches *obs.Counter
+}
+
+// metrics returns the instruments of fp.Metrics, or nil when no registry
+// is attached. It resolves them on the first call with a registry, and
+// again after Metrics changes to another.
+func (fp *FittedPipeline) metrics() *servingMetrics {
+	reg := fp.Metrics
+	if reg == nil {
+		return nil
+	}
+	if m := fp.handles.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	m := &servingMetrics{
+		reg:     reg,
+		stages:  make([]*obs.Histogram, len(fp.Steps)),
+		predict: reg.Histogram("catdb_predict_seconds", transformBuckets),
+		rows:    reg.Counter("catdb_predict_rows_total"),
+		batches: reg.Counter("catdb_predict_batches_total"),
+	}
+	for i := range fp.Steps {
+		m.stages[i] = reg.Histogram("catdb_transform_stage_seconds", transformBuckets, "op", fp.Steps[i].Op)
+	}
+	fp.handles.Store(m)
+	return m
+}
+
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
 // never mutated. Steps run in recorded order, each as one serial row
@@ -127,23 +232,29 @@ func (s *FittedStep) apply(t *data.Table) error {
 func (fp *FittedPipeline) Transform(t *data.Table) (out *data.Table, err error) {
 	step := -1
 	defer fp.recoverServing(&step, &err)
-	return fp.transform(t, &step)
+	return fp.transform(t, &step, fp.metrics())
 }
 
 // transform is the body of Transform. It keeps *step at the index of the
 // step being applied, and at -1 outside the steps, for recoverServing.
-func (fp *FittedPipeline) transform(t *data.Table, step *int) (*data.Table, error) {
+// Steps are timed only when m is not nil.
+func (fp *FittedPipeline) transform(t *data.Table, step *int, m *servingMetrics) (*data.Table, error) {
+	compiled := fp.compiledSteps()
 	out := t.Clone()
 	for i := range fp.Steps {
 		*step = i
 		s := &fp.Steps[i]
-		start := obs.Now()
-		if err := s.apply(out); err != nil {
+		var err error
+		if m == nil {
+			err = s.apply(out, &compiled[i])
+		} else {
+			start := obs.Now()
+			err = s.apply(out, &compiled[i])
+			m.stages[i].Observe(obs.Since(start).Seconds())
+		}
+		if err != nil {
 			return nil, artErr(ErrStepFailed, "step %d (%s on %q): %v", i, s.Op, s.Col, err)
 		}
-		// Nil-registry calls are free, so no conditional is needed here.
-		fp.Metrics.Histogram("catdb_transform_stage_seconds", transformBuckets,
-			"op", s.Op).Observe(obs.Since(start).Seconds())
 	}
 	*step = -1
 	return out, nil
@@ -182,30 +293,6 @@ type Predictions struct {
 	Proba  [][]float64
 }
 
-// liveModel reconstructs (once) the model the artifact carries.
-func (fp *FittedPipeline) liveModel() (any, error) {
-	if fp.model != nil {
-		return fp.model, nil
-	}
-	m, err := fp.Model.Model(fp.Workers)
-	if err != nil {
-		return nil, artErr(ErrArtifactModel, "%v", err)
-	}
-	// The instance stores compare each stored row with the query value by
-	// value, and only here is the query's width known: a wider stored row
-	// would index past the query, and a narrower one would score a prefix.
-	if k := fp.Model.Kind; k == ml.KindKNN || k == ml.KindTabPFN {
-		for i, row := range fp.Model.X {
-			if len(row) != len(fp.Features) {
-				return nil, artErr(ErrArtifactModel, "%s dump stores row %d with %d values for %d features",
-					k, i, len(row), len(fp.Features))
-			}
-		}
-	}
-	fp.model = m
-	return m, nil
-}
-
 // Predict transforms a row batch and scores it with the fitted model.
 // Incoming rows must contain every raw column the recorded steps expect;
 // after transformation each fitted feature column must exist, be
@@ -213,23 +300,27 @@ func (fp *FittedPipeline) liveModel() (any, error) {
 // specific code instead of silently skewed scores (the strict version of
 // the zero-fill contract matrixAligned applies during fitting).
 func (fp *FittedPipeline) Predict(t *data.Table) (*Predictions, error) {
+	m := fp.metrics()
+	if m == nil {
+		return fp.predict(t, nil)
+	}
 	start := obs.Now()
-	p, err := fp.predict(t)
-	fp.Metrics.Histogram("catdb_predict_seconds", transformBuckets).Observe(obs.Since(start).Seconds())
+	p, err := fp.predict(t, m)
+	m.predict.Observe(obs.Since(start).Seconds())
 	if err != nil {
 		code := "E_UNKNOWN"
 		if ae, ok := err.(*ArtifactError); ok {
 			code = ae.Code
 		}
-		fp.Metrics.Counter("catdb_predict_errors_total", "code", code).Inc()
+		m.reg.Counter("catdb_predict_errors_total", "code", code).Inc()
 	} else {
-		fp.Metrics.Counter("catdb_predict_rows_total").Add(int64(p.Rows))
-		fp.Metrics.Counter("catdb_predict_batches_total").Inc()
+		m.rows.Add(int64(p.Rows))
+		m.batches.Inc()
 	}
 	return p, err
 }
 
-func (fp *FittedPipeline) predict(t *data.Table) (_ *Predictions, err error) {
+func (fp *FittedPipeline) predict(t *data.Table, m *servingMetrics) (_ *Predictions, err error) {
 	step := -1
 	defer fp.recoverServing(&step, &err)
 	if fp.Version != ArtifactVersion {
@@ -239,11 +330,13 @@ func (fp *FittedPipeline) predict(t *data.Table) (_ *Predictions, err error) {
 	if fp.Model == nil {
 		return nil, artErr(ErrArtifactModel, "artifact carries no model")
 	}
-	tt, err := fp.transform(t, &step)
+	tt, err := fp.transform(t, &step, m)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range fp.Features {
+	// Each fitted feature is resolved once, for the check and the matrix.
+	cols := make([]*data.Column, len(fp.Features))
+	for j, name := range fp.Features {
 		c := tt.Col(name)
 		if c == nil {
 			return nil, artErr(ErrFeatureAbsent,
@@ -256,22 +349,23 @@ func (fp *FittedPipeline) predict(t *data.Table) (_ *Predictions, err error) {
 			return nil, artErr(ErrFeatureNaN,
 				"fitted feature %q has %d missing values in the batch", name, n)
 		}
+		cols[j] = c
 	}
-	X, _ := matrixAligned(tt, fp.Features)
-	m, err := fp.liveModel()
+	model, err := fp.liveModel()
 	if err != nil {
 		return nil, err
 	}
+	X := columnMatrix(cols, tt.NumRows())
 	out := &Predictions{Rows: len(X), Task: fp.Task, Classes: fp.Classes}
 	if fp.Task == data.Regression.String() {
-		reg, ok := m.(ml.Regressor)
+		reg, ok := model.(ml.Regressor)
 		if !ok {
 			return nil, artErr(ErrArtifactModel, "model kind %q cannot do regression", fp.Model.Kind)
 		}
 		out.Values = reg.Predict(X)
 		return out, nil
 	}
-	clf, ok := m.(ml.Classifier)
+	clf, ok := model.(ml.Classifier)
 	if !ok {
 		return nil, artErr(ErrArtifactModel, "model kind %q cannot classify", fp.Model.Kind)
 	}
