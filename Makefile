@@ -27,9 +27,10 @@ race:
 # tree-model loader and inference for a fixed time. Column summaries must
 # match the map-based reference on any bit pattern. The CSV tokenizer must
 # give the legacy encoding/csv reader's table or error on any input, at
-# three worker and chunk-size points. Executor.Check must give Execute's
-# outcome on generated programs over every model and size, and Execute
-# must give the same result at one and two workers. A crasher lands in
+# three GOMAXPROCS and chunk-size points. On generated programs over every
+# model and size, no statement may panic (E_OP_PANIC), Executor.Check must
+# give Execute's outcome, and Execute must give the same result at
+# GOMAXPROCS 1 and 2. A crasher lands in
 # the package's testdata/fuzz/<target>/; commit it with the fix so
 # `make test` replays it. -fuzzminimizetime=0x spends the time on new
 # inputs instead of shrinking each interesting one, so a crasher is
@@ -120,13 +121,26 @@ lint-dag:
 
 # Statements run one at a time in program order, and op bodies and the
 # serving path are plain serial row loops: nothing in internal/pipescript
-# fans out. Model fits and inference parallelize inside internal/ml,
-# bounded by Workers. Fail on raw pool fan-outs or goroutines in any
-# non-test source of the package.
+# fans out. Model fits and inference parallelize inside internal/ml. Fail
+# on raw pool fan-outs or goroutines in any non-test source of the
+# package.
+#
+# internal/pool is the one place that decides concurrency: every batch
+# runs on GOMAXPROCS workers, capped at its size. Fail on a
+# runtime.GOMAXPROCS call, a Workers/workers int field or parameter, or a
+# "workers" flag in any tracked non-test Go file outside internal/pool
+# and e2ebench/ (the benchmark, whose speed probe sizes itself from
+# GOMAXPROCS). Tests set GOMAXPROCS to sweep worker counts.
 lint-fanout:
 	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' $$(ls internal/pipescript/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$matches" ]; then \
 		echo "lint-fanout: raw parallelism in internal/pipescript (model parallelism lives in internal/ml):"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
+	@matches=$$(grep -nE 'runtime\.GOMAXPROCS\(|\b[Ww]orkers( *, *[A-Za-z_][A-Za-z0-9_]*)* +int\b|"workers"' $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -vE '^(internal/pool|e2ebench)/')); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-fanout: worker count outside internal/pool (the pool sizes every fan-out from GOMAXPROCS):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -159,17 +173,20 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 # exec lanes are single passes: their baseline blocks are earlier
 # captures (the map-based summary; the statement DAG), which benchjson
 # preserves. The predict lane runs its 500k-row batch at its own
-# iteration count and folds both runs into one file; its single-row rows
-# include a serve-shaped 17-column row widened to 100 features
-# (BenchmarkPredictSingleRowWide).
+# iteration count and at -cpu=4 (four pool workers), and folds both runs
+# into one file; its single-row rows include a serve-shaped 17-column row
+# widened to 100 features (BenchmarkPredictSingleRowWide). The ML lane
+# runs at -cpu=1, so every fit and inference runs on one worker and its
+# rows measure the algorithms, not parallelism; benchjson strips the -N
+# suffix -cpu adds to a name.
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
-	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
+	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -count=5 -cpu=1 -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
 	BENCH_BASELINE=data $(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	{ $(GO) test -run='^$$' -bench='^BenchmarkPredict(SingleRow|SingleRowWide|Batch)$$' -benchmem -benchtime=300x -count=5 ./internal/pipescript/; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
+	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -cpu=4 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Summary -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_summary.json

@@ -218,10 +218,9 @@ func BenchmarkFigure14Robustness(b *testing.B) {
 
 // harnessWorkload is the fixed experiment batch the worker-scaling
 // benchmarks run: three runners with many independent cells each.
-func harnessWorkload(b *testing.B, workers int) {
+func harnessWorkload(b *testing.B) {
 	b.Helper()
 	cfg := benchCfg(b)
-	cfg.Workers = workers
 	if _, err := bench.RunFig10MetadataImpact(cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -234,10 +233,13 @@ func harnessWorkload(b *testing.B, workers int) {
 }
 
 // BenchmarkHarnessWorkers1 is the serial baseline of the experiment
-// harness (Workers=1 reproduces the old one-cell-at-a-time loops).
+// harness: at GOMAXPROCS 1 the pool runs one cell at a time, as the old
+// loops did.
 func BenchmarkHarnessWorkers1(b *testing.B) {
+	setProcs(b, 1)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harnessWorkload(b, 1)
+		harnessWorkload(b)
 	}
 }
 
@@ -247,7 +249,7 @@ func BenchmarkHarnessWorkers1(b *testing.B) {
 // runner the two are equivalent by construction).
 func BenchmarkHarnessWorkersMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harnessWorkload(b, 0) // 0 = GOMAXPROCS default
+		harnessWorkload(b)
 	}
 }
 

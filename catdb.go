@@ -194,14 +194,14 @@ type PipGenOutcome struct {
 	Err    error
 }
 
-// ParallelPipGen runs a batch of PipGen jobs on a bounded worker pool and
-// returns the outcomes in job order. Each job gets its own LLM client whose
-// seed is derived deterministically from the job's base seed, position,
-// dataset name, and model, so outcomes are identical at any worker count
-// (workers <= 0 defaults to GOMAXPROCS; workers == 1 runs serially).
-func ParallelPipGen(jobs []PipGenJob, workers int) []PipGenOutcome {
+// ParallelPipGen runs a batch of PipGen jobs on the worker pool, at most
+// GOMAXPROCS at once, and returns the outcomes in job order. Each job gets
+// its own LLM client whose seed is derived deterministically from the
+// job's base seed, position, dataset name, and model, so outcomes are
+// identical at any GOMAXPROCS (GOMAXPROCS=1 runs them serially).
+func ParallelPipGen(jobs []PipGenJob) []PipGenOutcome {
 	outs := make([]PipGenOutcome, len(jobs))
-	err := pool.Each(workers, len(jobs), func(i int) error {
+	err := pool.Each(len(jobs), func(i int) error {
 		j := jobs[i]
 		if j.Dataset == nil {
 			outs[i].Err = fmt.Errorf("catdb: job %d: nil dataset", i)
@@ -241,13 +241,10 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 
 // ExecOptions tunes how ExecutePipelineWith and FitPipelineWith run a
 // pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
+// Statements run one at a time in program order, and the model fits and
+// inference fan out over at most GOMAXPROCS goroutines; results and fitted
+// artifacts are bit-identical at any GOMAXPROCS.
 type ExecOptions struct {
-	// Workers is the one execution knob: it bounds the goroutines of
-	// the tree/KNN model fits and inference (0 = all cores, 1 =
-	// serial). Statements run one at a time in program order. Results
-	// and fitted artifacts are bit-identical at any value; only wall
-	// time changes.
-	Workers int
 	// Metrics, when set, records execution counters and latency
 	// histograms (catdb_pipescript_*) into the registry — the same
 	// registry an ops server serves at /metrics. Nil disables recording
@@ -268,7 +265,7 @@ func ExecutePipelineWith(source string, train, test *Table, target string, task 
 		return nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		Workers: opts.Workers, Metrics: opts.Metrics, Span: opts.TraceSpan}
+		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Execute(prog, train, test)
 }
 
@@ -295,20 +292,20 @@ func FitPipeline(source string, train, test *Table, target string, task Task, se
 }
 
 // FitPipelineWith is FitPipeline with execution tuning. The fitted
-// artifact is byte-identical at any Workers setting.
+// artifact is byte-identical at any GOMAXPROCS.
 func FitPipelineWith(source string, train, test *Table, target string, task Task, seed int64, opts ExecOptions) (*PipelineResult, *FittedPipeline, error) {
 	prog, err := pipescript.Parse(source)
 	if err != nil {
 		return nil, nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		Workers: opts.Workers, Metrics: opts.Metrics, Span: opts.TraceSpan}
+		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Fit(prog, train, test)
 }
 
 // Predict applies a fitted-pipeline artifact to a batch of raw rows:
 // recorded preprocessing first, then model inference (512-row chunks,
-// identical output at any Workers setting). The rows need the raw feature
+// identical output at any GOMAXPROCS). The rows need the raw feature
 // columns the pipeline was fitted on — never the target column.
 func Predict(fp *FittedPipeline, rows *Table) (*Predictions, error) {
 	return fp.Predict(rows)

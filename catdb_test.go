@@ -1,9 +1,18 @@
 package catdb
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// setProcs sets GOMAXPROCS to n until tb ends (for a benchmark, outside
+// its timer). The pool sizes every fan-out from GOMAXPROCS, so this is
+// how a test or benchmark picks its worker count.
+func setProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // Integration tests over the public API: the module's surface exercised
 // the way a downstream user would.
@@ -51,8 +60,10 @@ func TestParallelPipGenDeterministicAcrossWorkerCounts(t *testing.T) {
 		{Dataset: wifi, Model: "llama3.1-70b", Seed: 2, Options: Options{Seed: 2}},
 		{Dataset: nil, Model: "gpt-4o", Seed: 3}, // must error, not panic
 	}
-	serial := ParallelPipGen(jobs, 1)
-	parallel := ParallelPipGen(jobs, 8)
+	setProcs(t, 1)
+	serial := ParallelPipGen(jobs)
+	setProcs(t, 8)
+	parallel := ParallelPipGen(jobs)
 	if len(serial) != len(jobs) || len(parallel) != len(jobs) {
 		t.Fatalf("outcome counts: %d and %d, want %d", len(serial), len(parallel), len(jobs))
 	}

@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	iters := flag.Int("iterations", 10, "iterations for fig11/fig12/table2")
 	fast := flag.Bool("fast", false, "trimmed datasets and iterations")
-	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
@@ -98,7 +97,7 @@ func main() {
 		progressW = os.Stderr
 	}
 	cfg := bench.Config{
-		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Workers: *workers, Out: out,
+		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Out: out,
 		Tracer: tracer, Metrics: metrics, Progress: progressW, Ledger: ledgerW,
 	}
 

@@ -313,7 +313,6 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	refine := fs.Bool("refine", false, "apply catalog refinement before running (use when the pipeline was generated without -no-refine)")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
-	workers := fs.Int("workers", 0, "goroutines for model fitting and inference (0 = all cores, 1 = serial; results are bit-identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -328,8 +327,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := catdb.ExecutePipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{Workers: *workers})
+	res, err := catdb.ExecutePipeline(string(src), tr, te, ds.Target, ds.Task, *seed)
 	if err != nil {
 		return err
 	}
@@ -387,7 +385,6 @@ func cmdFit(args []string) error {
 	refine := fs.Bool("refine", false, "apply catalog refinement before fitting")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
 	out := fs.String("out", "model.catdb.json", "fitted-pipeline artifact output path")
-	workers := fs.Int("workers", 0, "goroutines for model fitting and inference (0 = all cores, 1 = serial; the artifact is byte-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while fitting (/metrics, /api/spans, /debug/pprof; the artifact is byte-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -417,7 +414,7 @@ func cmdFit(args []string) error {
 		return err
 	}
 	res, fp, err := catdb.FitPipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{Workers: *workers, Metrics: metrics, TraceSpan: fitSpan})
+		catdb.ExecOptions{Metrics: metrics, TraceSpan: fitSpan})
 	fitSpan.End()
 	if err != nil {
 		return err
@@ -435,7 +432,6 @@ func cmdPredict(args []string) error {
 	artifact := fs.String("artifact", "", "fitted-pipeline artifact path (required)")
 	csvPath := fs.String("csv", "", "CSV rows to score; '-' reads stdin (required)")
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
-	workers := fs.Int("workers", 0, "inference goroutines (0 = all cores, 1 = serial; predictions are identical at any setting)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while scoring (/metrics, /debug/pprof; predictions are identical with or without it)")
 	if err := fs.Parse(args); err != nil {
@@ -451,7 +447,6 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	fp.Workers = *workers
 	var metrics *catdb.Metrics
 	if *metricsOut != "" || *listen != "" {
 		metrics = catdb.NewMetrics()

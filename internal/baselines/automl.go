@@ -33,9 +33,6 @@ type AutoMLOptions struct {
 	// MaxCells caps rows×features before the tool reports out-of-memory
 	// (Auto-Sklearn's Table 7 failures). 0 = tool default.
 	MaxCells int
-	// Workers bounds the goroutines the portfolio's tree ensembles and KNN
-	// use (0 = GOMAXPROCS, 1 = serial); scores are identical either way.
-	Workers int
 }
 
 // candidate is one (model, hyper-parameter) configuration in a portfolio.
@@ -45,15 +42,15 @@ type candidate struct {
 	reg  func(seed int64) ml.Regressor
 }
 
-func portfolio(tool AutoMLTool, workers int) []candidate {
+func portfolio(tool AutoMLTool) []candidate {
 	rf := func(trees, depth int) candidate {
 		return candidate{
 			name: fmt.Sprintf("rf%d", trees),
 			clf: func(seed int64) ml.Classifier {
-				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed, Workers: workers})
+				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed})
 			},
 			reg: func(seed int64) ml.Regressor {
-				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed, Workers: workers})
+				return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: seed})
 			},
 		}
 	}
@@ -63,10 +60,10 @@ func portfolio(tool AutoMLTool, workers int) []candidate {
 			clf: func(seed int64) ml.Classifier {
 				// One-vs-rest boosting costs rounds×classes tree fits;
 				// budgeted tools cap the product.
-				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed, MaxDepth: 4, Workers: workers})
+				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed, MaxDepth: 4})
 			},
 			reg: func(seed int64) ml.Regressor {
-				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed, Workers: workers})
+				return ml.NewGBM(ml.GBMConfig{Rounds: rounds, Seed: seed})
 			},
 		}
 	}
@@ -82,10 +79,10 @@ func portfolio(tool AutoMLTool, workers int) []candidate {
 	knn := candidate{
 		name: "knn",
 		clf: func(seed int64) ml.Classifier {
-			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000, Workers: workers})
+			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000})
 		},
 		reg: func(seed int64) ml.Regressor {
-			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000, Workers: workers})
+			return ml.NewKNN(ml.KNNConfig{K: 7, MaxTrain: 3000})
 		},
 	}
 	switch tool {
@@ -178,7 +175,7 @@ func RunAutoML(tool AutoMLTool, train, test *data.Table, target string, task dat
 	bestScore := -1.0
 	var bestOutcome *Outcome
 	tried := 0
-	for i, cand := range portfolio(tool, opts.Workers) {
+	for i, cand := range portfolio(tool) {
 		if tried > 0 && time.Since(start) > budget {
 			break // budget exhausted; keep the best so far
 		}

@@ -11,21 +11,20 @@ import (
 	"catdb/internal/prompt"
 )
 
+// llmTrainFrac is the train share of the AIDE and AutoGen splits.
+const llmTrainFrac = 0.7
+
 // LLMBaselineOptions tunes the AIDE and AutoGen reproductions.
 type LLMBaselineOptions struct {
 	Seed int64
 	// MaxRetries bounds resubmissions (AIDE retried up to 20 times in the
 	// paper's runs, AutoGen up to 15).
 	MaxRetries int
-	TrainFrac  float64
 }
 
 func (o LLMBaselineOptions) withDefaults(def int) LLMBaselineOptions {
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = def
-	}
-	if o.TrainFrac <= 0 || o.TrainFrac >= 1 {
-		o.TrainFrac = 0.7
 	}
 	return o
 }
@@ -73,9 +72,9 @@ func runDescriptionDriven(o Outcome, ds *data.Dataset, client llm.Client, opts L
 	}
 	var train, test *data.Table
 	if ds.Task.IsClassification() {
-		train, test = table.StratifiedSplit(ds.Target, opts.TrainFrac, opts.Seed)
+		train, test = table.StratifiedSplit(ds.Target, llmTrainFrac, opts.Seed)
 	} else {
-		train, test = table.Split(opts.TrainFrac, opts.Seed)
+		train, test = table.Split(llmTrainFrac, opts.Seed)
 	}
 	prof, err := profile.Table(train, ds.Target, ds.Task, profile.Options{Seed: opts.Seed})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"catdb/internal/obs"
 	"catdb/internal/obs/ledger"
-	"catdb/internal/pool"
 	"catdb/internal/profile"
 )
 
@@ -32,13 +31,6 @@ type Config struct {
 	Iterations int
 	// Fast trims dataset lists and iteration counts for CI runs.
 	Fast bool
-	// Workers bounds how many experiment cells run concurrently (default
-	// GOMAXPROCS). Every runner fans its independent (dataset, model,
-	// iteration) cells over a shared worker pool and reassembles results
-	// in the paper's row order; each cell derives its own LLM client and
-	// RNG from the cell identity, so output is bit-for-bit identical at
-	// any worker count. Workers=1 reproduces the serial harness.
-	Workers int
 	// ProfileCache shares Algorithm 1 profiling across cells: every cell
 	// that loads the same (dataset, scale) at the same seed and options
 	// reuses one computed profile instead of redoing the pass. Defaults to
@@ -80,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fast && c.Iterations > 3 {
 		c.Iterations = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = pool.DefaultWorkers()
 	}
 	if c.ProfileCache == nil {
 		c.ProfileCache = profile.NewCache()

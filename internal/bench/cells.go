@@ -10,7 +10,12 @@ import (
 	"catdb/internal/pool"
 )
 
-// mapCells fans one experiment phase's cells over the worker pool with
+// mapCells fans one experiment phase's cells over the worker pool, so at
+// most GOMAXPROCS cells run at once. Every runner fans its independent
+// (dataset, model, iteration) cells out through it and reassembles
+// results in the paper's row order; each cell derives its own LLM client
+// and RNG from the cell identity, so output is bit-for-bit identical at
+// any GOMAXPROCS, and GOMAXPROCS=1 reproduces the serial harness. It adds
 // optional observability: a "bench:<phase>" root span with one "cell"
 // child per cell, per-cell latency/count/error metrics (catdb_bench_*),
 // and live progress lines. With no Tracer, Metrics, or Progress
@@ -19,7 +24,7 @@ import (
 // Result order and error semantics are pool.Map's in both modes.
 func mapCells[T any](cfg Config, phase string, n int, fn func(i int, sp *obs.Span) (T, error)) ([]T, error) {
 	if cfg.Tracer == nil && cfg.Metrics == nil && cfg.Progress == nil {
-		return pool.Map(cfg.Workers, n, func(i int) (T, error) { return fn(i, nil) })
+		return pool.Map(n, func(i int) (T, error) { return fn(i, nil) })
 	}
 	root := cfg.Tracer.Root("bench:" + phase)
 	root.SetInt("cells", int64(n))
@@ -28,7 +33,7 @@ func mapCells[T any](cfg Config, phase string, n int, fn func(i int, sp *obs.Spa
 		mu   sync.Mutex
 		done int
 	)
-	return pool.Map(cfg.Workers, n, func(i int) (T, error) {
+	return pool.Map(n, func(i int) (T, error) {
 		sp := root.Child("cell")
 		sp.SetStr("phase", phase)
 		sp.SetInt("index", int64(i))

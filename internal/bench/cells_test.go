@@ -15,16 +15,17 @@ import (
 // returns — same values, same order — and the observed mode must not
 // change the results either.
 func TestMapCellsMatchesPoolMap(t *testing.T) {
+	setProcs(t, 4)
 	fn := func(i int) (int, error) { return i * i, nil }
-	want, err := pool.Map(4, 32, fn)
+	want, err := pool.Map(32, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := mapCells(Config{Workers: 4}, "test", 32, func(i int, _ *obs.Span) (int, error) { return fn(i) })
+	plain, err := mapCells(Config{}, "test", 32, func(i int, _ *obs.Span) (int, error) { return fn(i) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := mapCells(Config{Workers: 4, Tracer: obs.New(), Metrics: obs.NewRegistry(), Progress: io.Discard},
+	observed, err := mapCells(Config{Tracer: obs.New(), Metrics: obs.NewRegistry(), Progress: io.Discard},
 		"test", 32, func(i int, _ *obs.Span) (int, error) { return fn(i) })
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,8 @@ func TestMapCellsProgressSpansMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.New()
 	reg := obs.NewRegistry()
-	cfg := Config{Workers: 3, Tracer: tr, Metrics: reg, Progress: &buf}
+	setProcs(t, 3)
+	cfg := Config{Tracer: tr, Metrics: reg, Progress: &buf}
 	const n = 7
 	if _, err := mapCells(cfg, "phaseX", n, func(i int, sp *obs.Span) (int, error) {
 		sp.SetInt("payload", int64(i))

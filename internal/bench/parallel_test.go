@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -11,11 +12,19 @@ import (
 // rendered reports are time-free (fig10, table2, ablation) and structurally
 // on fig11, whose report includes wall-clock columns.
 
+// setProcs sets GOMAXPROCS to n for the rest of the test. The pool sizes
+// every fan-out from GOMAXPROCS, experiment cells included, so this is
+// how a test picks its worker count.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func renderedAt(t *testing.T, workers int, run func(Config) error) string {
 	t.Helper()
+	setProcs(t, workers)
 	var buf bytes.Buffer
 	cfg := fastCfg()
-	cfg.Workers = workers
 	cfg.Out = &buf
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
@@ -47,9 +56,9 @@ func TestParallelMatchesSerialRendered(t *testing.T) {
 
 func TestParallelMatchesSerialFig11(t *testing.T) {
 	runAt := func(workers int) *Fig11Result {
+		setProcs(t, workers)
 		var buf bytes.Buffer
 		cfg := fastCfg()
-		cfg.Workers = workers
 		cfg.Out = &buf
 		res, err := RunFig11TenIterations(cfg)
 		if err != nil {

@@ -55,32 +55,22 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+const (
+	// typeSamples is the values per type-inference request (paper: 10).
+	typeSamples = 10
+	// dedupBatch is the value-list batch size for dedup prompts.
+	dedupBatch = 200
+	// maxDedupDistinct skips dedup for columns with more distinct values
+	// (they are not categorical candidates).
+	maxDedupDistinct = 3000
+)
+
 // Options tunes refinement.
 type Options struct {
-	// Samples per type-inference request (the paper uses 10).
-	Samples int
-	// DedupBatch is the value-list batch size for dedup prompts.
-	DedupBatch int
-	// MaxDedupDistinct skips dedup for columns with more distinct values
-	// (they are not categorical candidates).
-	MaxDedupDistinct int
-	Seed             int64
+	Seed int64
 	// Cache, when set, memoizes the two profiling passes by table content
 	// (nil falls back to direct profiling).
 	Cache *profile.Cache
-}
-
-func (o Options) withDefaults() Options {
-	if o.Samples <= 0 {
-		o.Samples = 10
-	}
-	if o.DedupBatch <= 0 {
-		o.DedupBatch = 200
-	}
-	if o.MaxDedupDistinct <= 0 {
-		o.MaxDedupDistinct = 3000
-	}
-	return o
 }
 
 // RefineDataset consolidates a (multi-table) dataset and refines the
@@ -97,12 +87,11 @@ func RefineDataset(ds *data.Dataset, client llm.Client, opts Options) (*Result, 
 // Refine applies the §3.2 refinement workflow to a single table in place
 // of the original dataset (the paper overwrites the input dataset).
 func Refine(t *data.Table, target string, task data.Task, client llm.Client, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	start := time.Now()
 	out := t.Clone()
 	res := &Result{}
 
-	prof, err := opts.Cache.Table(out, target, task, profile.Options{Samples: opts.Samples, Seed: opts.Seed})
+	prof, err := opts.Cache.Table(out, target, task, profile.Options{Samples: typeSamples, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
@@ -181,13 +170,13 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 		if col.Kind != data.KindString {
 			continue
 		}
-		if n := col.DistinctCount(); n < 2 || n > opts.MaxDedupDistinct {
+		if n := col.DistinctCount(); n < 2 || n > maxDedupDistinct {
 			continue
 		}
 		distinct := col.Distinct()
 		mapping := map[string]string{}
-		for lo := 0; lo < len(distinct); lo += opts.DedupBatch {
-			hi := lo + opts.DedupBatch
+		for lo := 0; lo < len(distinct); lo += dedupBatch {
+			hi := lo + dedupBatch
 			if hi > len(distinct) {
 				hi = len(distinct)
 			}
@@ -212,7 +201,7 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 		}
 	}
 
-	refProf, err := opts.Cache.Table(out, target, task, profile.Options{Samples: opts.Samples, Seed: opts.Seed})
+	refProf, err := opts.Cache.Table(out, target, task, profile.Options{Samples: typeSamples, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("catalog: re-profile: %w", err)
 	}

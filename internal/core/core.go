@@ -20,6 +20,14 @@ import (
 	"catdb/internal/prompt"
 )
 
+const (
+	// trainFrac is the train share of the split.
+	trainFrac = 0.7
+	// validationRows caps the train sample the debug loop validates on
+	// (the test sample takes half as many rows, plus one).
+	validationRows = 500
+)
+
 // Options configures a CatDB run.
 type Options struct {
 	// TopK is α: restrict the prompt to the K most relevant columns
@@ -41,11 +49,6 @@ type Options struct {
 	NoRefine bool
 	// Seed drives splits, validation sampling, and pipeline execution.
 	Seed int64
-	// TrainFrac is the train share of the split (default 0.7).
-	TrainFrac float64
-	// ValidationRows caps the sample used during the debug loop
-	// (default 500).
-	ValidationRows int
 	// TrainMutator, when set, is applied to the training split right
 	// after the train/test split — the robustness experiments of Figure
 	// 14 use it to inject corruption into training data while keeping the
@@ -69,12 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Chains <= 0 {
 		o.Chains = 1
-	}
-	if o.TrainFrac <= 0 || o.TrainFrac >= 1 {
-		o.TrainFrac = 0.7
-	}
-	if o.ValidationRows <= 0 {
-		o.ValidationRows = 500
 	}
 	return o
 }
@@ -216,9 +213,9 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 	// Split before prompting: all metadata is derived from train data.
 	var train, test *data.Table
 	if ds.Task.IsClassification() {
-		train, test = table.StratifiedSplit(ds.Target, opts.TrainFrac, opts.Seed)
+		train, test = table.StratifiedSplit(ds.Target, trainFrac, opts.Seed)
 	} else {
-		train, test = table.Split(opts.TrainFrac, opts.Seed)
+		train, test = table.Split(trainFrac, opts.Seed)
 	}
 	if opts.TrainMutator != nil {
 		opts.TrainMutator(train)
@@ -250,8 +247,8 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 	// Validation sample for the debug loop (the paper tests pipelines on
 	// sample data before full execution).
 	rng := rand.New(rand.NewSource(opts.Seed))
-	vTrain := train.Sample(opts.ValidationRows, rng)
-	vTest := test.Sample(opts.ValidationRows/2+1, rng)
+	vTrain := train.Sample(validationRows, rng)
+	vTest := test.Sample(validationRows/2+1, rng)
 
 	gstart := obs.Now()
 	source := ""

@@ -50,7 +50,7 @@ func ReadCSV(r io.Reader, name string) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("data: read csv %q: %w", name, err)
 	}
-	return parseCSVChunkSize(buf, name, 0, defaultChunkBytes)
+	return parseCSVChunkSize(buf, name, defaultChunkBytes)
 }
 
 // slurp reads r to EOF. When the reader knows its remaining size
@@ -114,5 +114,5 @@ func ReadCSVFile(path string) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("data: %w", err)
 	}
-	return parseCSVChunkSize(buf, path, 0, defaultChunkBytes)
+	return parseCSVChunkSize(buf, path, defaultChunkBytes)
 }

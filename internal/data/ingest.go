@@ -24,11 +24,11 @@ const defaultChunkBytes = 4 << 20
 var errRefused = errors.New("data: csv input outside the tokenizer's dialect")
 
 // parseCSVChunkSize parses buf in record-aligned chunks of about chunkBytes
-// (the readers pass defaultChunkBytes and workers 0, the pool's default).
-// Any input the tokenizer refuses is re-read through readCSVLegacy, so the
-// table or error never depends on workers or chunkBytes.
-func parseCSVChunkSize(buf []byte, name string, workers, chunkBytes int) (*Table, error) {
-	t, err := tokenizeCSV(buf, name, workers, chunkBytes)
+// (the readers pass defaultChunkBytes). Any input the tokenizer refuses is
+// re-read through readCSVLegacy, so the table or error never depends on
+// chunkBytes or on the pool's worker count.
+func parseCSVChunkSize(buf []byte, name string, chunkBytes int) (*Table, error) {
+	t, err := tokenizeCSV(buf, name, chunkBytes)
 	if errors.Is(err, errRefused) {
 		return readCSVLegacy(bytes.NewReader(buf), name)
 	}
@@ -39,10 +39,10 @@ func parseCSVChunkSize(buf []byte, name string, workers, chunkBytes int) (*Table
 // chunks, then builds each column from its fields' offsets, in parallel
 // over columns. It returns errRefused for any input outside the dialect
 // chunk.tokenize accepts; any other error is a fault of the tokenizer.
-func tokenizeCSV(buf []byte, name string, workers, chunkBytes int) (*Table, error) {
+func tokenizeCSV(buf []byte, name string, chunkBytes int) (*Table, error) {
 	cuts := cutChunks(buf, chunkBytes)
 	chunks := make([]chunk, len(cuts)-1)
-	err := pool.Each(workers, len(chunks), func(i int) error {
+	err := pool.Each(len(chunks), func(i int) error {
 		chunks[i].b = buf[cuts[i]:cuts[i+1]]
 		if !chunks[i].tokenize() {
 			return errRefused
@@ -76,7 +76,7 @@ func tokenizeCSV(buf []byte, name string, workers, chunkBytes int) (*Table, erro
 	if header == nil {
 		return nil, errRefused // no record at all: legacy reports the empty input
 	}
-	cols, err := pool.Map(workers, len(header), func(c int) (*Column, error) {
+	cols, err := pool.Map(len(header), func(c int) (*Column, error) {
 		return buildColumn(chunks, c, rows, header[c]), nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"catdb/internal/bench/baseline"
@@ -87,8 +88,12 @@ func serveShapeCSV(rows int) []byte {
 }
 
 // benchIngestParse times what ReadCSV does with raw: the input copy, then
-// the parse at the given worker count.
-func benchIngestParse(b *testing.B, raw []byte, workers int) {
+// the parse. procs, when above 0, is the GOMAXPROCS the benchmark runs at,
+// and with it the pool's worker count; it is set and restored outside the
+// timer.
+func benchIngestParse(b *testing.B, raw []byte, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	legacy := ingestLegacyMode()
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
@@ -99,7 +104,7 @@ func benchIngestParse(b *testing.B, raw []byte, workers int) {
 		} else {
 			var buf []byte
 			if buf, err = slurp(bytes.NewReader(raw)); err == nil {
-				_, err = parseCSVChunkSize(buf, "bench", workers, defaultChunkBytes)
+				_, err = parseCSVChunkSize(buf, "bench", defaultChunkBytes)
 			}
 		}
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,8 +15,16 @@ import (
 // ingestPoint is one worker count and chunk size of the ingest grid.
 type ingestPoint struct{ workers, chunkBytes int }
 
+// parseAt parses input through parseCSVChunkSize at p: GOMAXPROCS, the
+// pool's worker count, is set to p.workers (0 leaves it as it is) for the
+// call and restored after it.
+func parseAt(input string, p ingestPoint) (*Table, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.workers))
+	return parseCSVChunkSize([]byte(input), "x", p.chunkBytes)
+}
+
 // ingestGrid is the worker × chunk-size matrix the equivalence tests sweep
-// through parseCSVChunkSize. Chunk size 1 forces a chunk per record — the
+// through parseAt. Chunk size 1 forces a chunk per record — the
 // maximum-fragmentation stress case — while 1<<20 usually keeps the whole
 // input in one chunk. The last point is what ReadCSV runs.
 var ingestGrid = []ingestPoint{
@@ -69,7 +78,7 @@ func requireIngestMatchesLegacy(t *testing.T, input, label string, grid []ingest
 	want, wantErr := readCSVLegacy(strings.NewReader(input), "x")
 	for _, g := range grid {
 		tag := fmt.Sprintf("%s w=%d cb=%d", label, g.workers, g.chunkBytes)
-		got, err := parseCSVChunkSize([]byte(input), "x", g.workers, g.chunkBytes)
+		got, err := parseAt(input, g)
 		if wantErr != nil {
 			if err == nil {
 				t.Fatalf("%s: chunked succeeded, legacy error: %v", tag, wantErr)
@@ -140,7 +149,7 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 		t.Fatalf("%s: rewrite legacy: %v", label, err)
 	}
 	for _, g := range ingestGrid {
-		got, err := parseCSVChunkSize([]byte(input), "x", g.workers, g.chunkBytes)
+		got, err := parseAt(input, g)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -271,7 +280,7 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		for _, cb := range []int{1, 3 + rng.Intn(100), 1 << 16} {
-			got, err := parseCSVChunkSize([]byte(input), "x", 1+rng.Intn(4), cb)
+			got, err := parseAt(input, ingestPoint{workers: 1 + rng.Intn(4), chunkBytes: cb})
 			if err != nil {
 				return false
 			}
@@ -322,7 +331,7 @@ func TestIngestEmptyInputMessage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message", err)
 	}
-	_, err = parseCSVChunkSize([]byte("\n\n\n"), "x", 4, 1)
+	_, err = parseAt("\n\n\n", ingestPoint{workers: 4, chunkBytes: 1})
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message for blank-lines input", err)
 	}
@@ -361,7 +370,7 @@ func TestTokenizerReadsWorkloadCSVs(t *testing.T) {
 	}
 	for label, input := range inputs {
 		for _, cb := range []int{4096, defaultChunkBytes} {
-			got, err := tokenizeCSV([]byte(input), "x", 0, cb)
+			got, err := tokenizeCSV([]byte(input), "x", cb)
 			if err != nil {
 				t.Fatalf("%s cb=%d: the tokenizer did not read it: %v", label, cb, err)
 			}
@@ -375,7 +384,7 @@ func TestTokenizerReadsWorkloadCSVs(t *testing.T) {
 		}
 	}
 	for name := range refusedGoldens {
-		if _, err := tokenizeCSV([]byte(ingestGoldens[name]), "x", 0, defaultChunkBytes); !errors.Is(err, errRefused) {
+		if _, err := tokenizeCSV([]byte(ingestGoldens[name]), "x", defaultChunkBytes); !errors.Is(err, errRefused) {
 			t.Fatalf("golden %q: got err %v, want a refusal; drop it from refusedGoldens", name, err)
 		}
 	}

@@ -138,8 +138,8 @@ func TestSplitPathFollowsRowCount(t *testing.T) {
 		X := benchMatrix(rows, benchFeatures, 42)
 		yc, yr := benchLabels(X, benchClasses, 42), benchTarget(X, 42)
 		yf := labelFloats(yc)
-		fc := ForestConfig{Trees: 4, Seed: 7, Workers: 1}
-		gc := GBMConfig{Rounds: 5, Seed: 7, Workers: 1}
+		fc := ForestConfig{Trees: 4, Seed: 7}
+		gc := GBMConfig{Rounds: 5, Seed: 7}
 		tc := TreeConfig{Seed: 7}
 		models := []struct {
 			name   string
@@ -201,16 +201,25 @@ func TestSplitPathFollowsRowCount(t *testing.T) {
 }
 
 // workerCounts returns the pinned worker settings of the determinism
-// contract: serial, a fixed small pool, and GOMAXPROCS.
+// contract: serial, a fixed small pool, and the process's GOMAXPROCS.
 func workerCounts() []int {
 	return []int{1, 4, runtime.GOMAXPROCS(0)}
+}
+
+// setProcs sets GOMAXPROCS to n for the rest of the test. The pool sizes
+// every fit and inference fan-out from GOMAXPROCS, so this is how a test
+// picks its worker count.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestForestWorkerInvariance(t *testing.T) {
 	X, y := synthClass(900, 3, 0.7, 41)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		f := NewForest(ForestConfig{Trees: 10, Seed: 3, Workers: w})
+		setProcs(t, w)
+		f := NewForest(ForestConfig{Trees: 10, Seed: 3})
 		if err := f.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +242,8 @@ func TestExtraTreesWorkerInvariance(t *testing.T) {
 	X, y := synthClass(900, 3, 0.7, 42)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		e := NewExtraTrees(ForestConfig{Trees: 12, Seed: 3, Workers: w})
+		setProcs(t, w)
+		e := NewExtraTrees(ForestConfig{Trees: 12, Seed: 3})
 		if err := e.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +266,8 @@ func TestGBMWorkerInvariance(t *testing.T) {
 	X, y := synthClass(900, 4, 0.7, 43)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3, Workers: w})
+		setProcs(t, w)
+		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3})
 		if err := g.FitClass(X, y, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +288,8 @@ func TestGBMWorkerInvariance(t *testing.T) {
 	Xr, yr := synthReg(900, 0.2, 44)
 	var refR []float64
 	for _, w := range workerCounts() {
-		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3, Workers: w})
+		setProcs(t, w)
+		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3})
 		if err := g.Fit(Xr, yr); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +312,8 @@ func TestKNNWorkerInvariance(t *testing.T) {
 	var ref [][]float64
 	var refC []int
 	for _, w := range workerCounts() {
-		k := NewKNN(KNNConfig{K: 7, Workers: w})
+		setProcs(t, w)
+		k := NewKNN(KNNConfig{K: 7})
 		if err := k.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -514,8 +527,9 @@ func TestTrainPredictionCapture(t *testing.T) {
 // returns each one's export digest keyed by model name.
 func histGoldenModels(t *testing.T, X [][]float64, yc []int, yr []float64, workers int) map[string]string {
 	t.Helper()
-	fc := ForestConfig{Trees: 8, Seed: 7, Workers: workers}
-	gc := GBMConfig{Rounds: 10, Seed: 7, Workers: workers}
+	setProcs(t, workers)
+	fc := ForestConfig{Trees: 8, Seed: 7}
+	gc := GBMConfig{Rounds: 10, Seed: 7}
 	forestClass, forestReg := NewForest(fc), NewForest(fc)
 	gbmClass, gbmReg := NewGBM(gc), NewGBM(gc)
 	for _, err := range []error{
@@ -599,7 +613,8 @@ func TestExtraTreesGolden(t *testing.T) {
 	for _, s := range shapes {
 		X := benchMatrix(s.rows, benchFeatures, 42)
 		for _, workers := range []int{1, 4} {
-			cfg := ForestConfig{Trees: 8, Seed: 7, Workers: workers}
+			setProcs(t, workers)
+			cfg := ForestConfig{Trees: 8, Seed: 7}
 			class, reg := NewExtraTrees(cfg), NewExtraTrees(cfg)
 			if err := class.FitClass(X, benchLabels(X, benchClasses, 42), benchClasses); err != nil {
 				t.Fatal(err)

@@ -10,8 +10,9 @@ import (
 // benchRows/benchFeatures size the cold-fit benchmark dataset. The
 // acceptance bar for the histogram backend is measured on this shape:
 // ≥ 20k rows of mixed continuous + low-cardinality features, the regime
-// where sort-and-sweep split finding is most expensive. Every config pins
-// Workers: 1 so the before/after delta is the algorithmic win alone, not
+// where sort-and-sweep split finding is most expensive. make bench runs
+// this lane at -cpu=1, so the pool runs every fit and inference on one
+// worker and the before/after delta is the algorithmic win alone, not
 // parallelism.
 const (
 	benchRows     = 20000
@@ -141,7 +142,7 @@ func BenchmarkMLForestFitClass(b *testing.B) {
 	X, yc, _ := benchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func BenchmarkMLForestFitReg(b *testing.B) {
 	X, _, yr := benchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func BenchmarkMLForestFitExactClass(b *testing.B) {
 	yc := benchLabels(X, benchClasses, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func BenchmarkMLForestFitExactWideClass(b *testing.B) {
 	X, y := wideClassData(42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 50, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 50, Seed: 7})
 		if err := f.FitClass(X, y, wideClassClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func BenchmarkMLForestFitExactReg(b *testing.B) {
 	yr := benchTarget(X, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func BenchmarkMLForestFitHistWide(b *testing.B) {
 	X, _, yr := wideData(wideRows, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 40, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 40, Seed: 7})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func BenchmarkMLGBMFitClass(b *testing.B) {
 	X, yc, _ := benchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := g.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func BenchmarkMLGBMFitReg(b *testing.B) {
 	X, _, yr := benchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := g.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +301,7 @@ func BenchmarkMLExtraTreesFitClass(b *testing.B) {
 	X, yc, _ := benchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewExtraTrees(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		e := NewExtraTrees(ForestConfig{Trees: 15, Seed: 7})
 		if err := e.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -321,7 +322,7 @@ var (
 func BenchmarkMLForestProba(b *testing.B) {
 	X, yc, _ := benchData()
 	benchForestOnce.Do(func() {
-		benchForest = NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		benchForest = NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := benchForest.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -337,7 +338,7 @@ func BenchmarkMLForestProba(b *testing.B) {
 func BenchmarkMLForestPredictReg(b *testing.B) {
 	X, _, yr := benchData()
 	benchForestRegOnce.Do(func() {
-		benchForestReg = NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		benchForestReg = NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := benchForestReg.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func BenchmarkMLForestPredictReg(b *testing.B) {
 func BenchmarkMLGBMProba(b *testing.B) {
 	X, yc, _ := benchData()
 	benchGBMOnce.Do(func() {
-		benchGBM = NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		benchGBM = NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := benchGBM.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +368,7 @@ func BenchmarkMLGBMProba(b *testing.B) {
 // stored rows, 2k queries), the per-row scan the pool now parallelizes.
 func BenchmarkMLKNNPredict(b *testing.B) {
 	X, yc, _ := benchData()
-	k := NewKNN(KNNConfig{K: 7, MaxTrain: 4000, Workers: 1})
+	k := NewKNN(KNNConfig{K: 7, MaxTrain: 4000})
 	if err := k.FitClass(X[:4000], yc[:4000], benchClasses); err != nil {
 		b.Fatal(err)
 	}

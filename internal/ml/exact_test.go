@@ -258,8 +258,9 @@ func TestExactSplitMatchesReference(t *testing.T) {
 // returns the SHA-256 of its exported JSON.
 func forestDigest(t *testing.T, classify bool, workers int) string {
 	t.Helper()
+	setProcs(t, workers)
 	X := benchMatrix(validationRows, benchFeatures, 42)
-	f := NewForest(ForestConfig{Seed: 7, Workers: workers})
+	f := NewForest(ForestConfig{Seed: 7})
 	var err error
 	if classify {
 		err = f.FitClass(X, benchLabels(X, benchClasses, 42), benchClasses)
@@ -316,7 +317,7 @@ func TestTreeClassLimit(t *testing.T) {
 	if err := NewTree(TreeConfig{Seed: 1}).FitClass(X, y, maxClasses+1); err == nil {
 		t.Fatal("tree: class count past the int16 codes must error")
 	}
-	f := NewForest(ForestConfig{Trees: 2, Seed: 1, Workers: 1})
+	f := NewForest(ForestConfig{Trees: 2, Seed: 1})
 	if err := f.FitClass(X, y, maxClasses+1); err == nil || f.Fitted() {
 		t.Fatalf("forest: class count past the int16 codes must error and leave it unfitted (err=%v)", err)
 	}

@@ -56,7 +56,7 @@ func (e *ExtraTrees) fit(bm *binnedMatrix, X [][]float64, y []float64, classes i
 	e.trees = make([]*Tree, cfg.Trees)
 	n := len(y)
 	ws := sync.Pool{New: func() any { return &grower{rng: rand.New(rand.NewSource(0))} }}
-	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
+	err := pool.Each(cfg.Trees, func(i int) error {
 		g := ws.Get().(*grower)
 		rows := g.bootstrap(g.rng, cfg.Seed+int64(i)*104729, n)
 		t := &Tree{classes: classes, nodes: g.nodes[:0], vals: g.vals[:0]}
@@ -153,7 +153,7 @@ func (e *ExtraTrees) Predict(X [][]float64) []float64 {
 		}
 		return out
 	}
-	return meanPredict(e.trees, e.Config.Workers, X)
+	return meanPredict(e.trees, X)
 }
 
 // PredictClass returns class predictions (zeros when unfitted).
@@ -175,7 +175,7 @@ func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 		}
 		return out
 	}
-	forChunks(e.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, e.classes)
 			for _, t := range e.trees {

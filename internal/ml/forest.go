@@ -14,10 +14,6 @@ type ForestConfig struct {
 	MinLeaf     int // default 3
 	FeatureFrac float64
 	Seed        int64
-	// Workers bounds the goroutines used for tree fitting and batch
-	// inference: 0 = GOMAXPROCS, 1 = serial. Every tree derives its RNG
-	// from its index, so the ensemble is bit-identical at any setting.
-	Workers int
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -95,7 +91,7 @@ func (f *Forest) fit(bm *binnedMatrix, X [][]float64, yf []float64, classes int)
 		return g
 	}}
 	f.trees = make([]*Tree, cfg.Trees)
-	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
+	err := pool.Each(cfg.Trees, func(i int) error {
 		g := ws.Get().(*grower)
 		t := NewTree(TreeConfig{
 			MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf,
@@ -127,15 +123,15 @@ func (f *Forest) Predict(X [][]float64) []float64 {
 		}
 		return out
 	}
-	return meanPredict(f.trees, f.Config.Workers, X)
+	return meanPredict(f.trees, X)
 }
 
 // meanPredict averages regression trees' leaf values per row of X,
 // fanning row chunks over the worker pool.
-func meanPredict(trees []*Tree, workers int, X [][]float64) []float64 {
+func meanPredict(trees []*Tree, X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	nt := float64(len(trees))
-	forChunks(workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for _, t := range trees {
@@ -166,7 +162,7 @@ func (f *Forest) Proba(X [][]float64) [][]float64 {
 		return out
 	}
 	nt := float64(len(f.trees))
-	forChunks(f.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, f.classes)
 			for _, t := range f.trees {

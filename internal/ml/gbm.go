@@ -14,11 +14,6 @@ type GBMConfig struct {
 	MaxDepth     int     // default 4
 	MinLeaf      int     // default 5
 	Seed         int64
-	// Workers bounds the goroutines used for one-vs-rest class fitting
-	// and batch inference: 0 = GOMAXPROCS, 1 = serial. Every class
-	// derives its tree seeds from (class, round), so the model is
-	// bit-identical at any setting.
-	Workers int
 }
 
 func (c GBMConfig) withDefaults() GBMConfig {
@@ -119,7 +114,7 @@ func (g *GBM) Predict(X [][]float64) []float64 {
 		return out
 	}
 	lr := g.Config.LearningRate
-	forChunks(g.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := g.base
 			for _, t := range g.trees {
@@ -153,7 +148,7 @@ func (g *GBM) fitClass(bm *binnedMatrix, X [][]float64, y []int, classes int) er
 	n := len(y)
 	g.ovr = make([][]*Tree, classes)
 	g.bias = make([]float64, classes)
-	err := pool.Each(g.Config.Workers, classes, func(c int) error {
+	err := pool.Each(classes, func(c int) error {
 		pos := 0
 		target := make([]float64, n)
 		for i, lbl := range y {
@@ -214,7 +209,7 @@ func (g *GBM) Proba(X [][]float64) [][]float64 {
 		return out
 	}
 	lr := g.Config.LearningRate
-	forChunks(g.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := make([]float64, g.classes)
 			var sum float64

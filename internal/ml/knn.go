@@ -6,10 +6,6 @@ type KNNConfig struct {
 	// MaxTrain caps the stored training rows (0 = unlimited); large stores
 	// are subsampled head-first for predict-time tractability.
 	MaxTrain int
-	// Workers bounds the goroutines used for batch prediction: 0 =
-	// GOMAXPROCS, 1 = serial. Query rows are independent, so predictions
-	// are identical at any setting.
-	Workers int
 }
 
 func (c KNNConfig) withDefaults() KNNConfig {
@@ -127,7 +123,7 @@ func (k *KNN) Predict(X [][]float64) []float64 {
 		}
 		return out
 	}
-	forChunks(k.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		buf := make([]neighbour, 0, k.Config.K)
 		for i := lo; i < hi; i++ {
 			nb := k.nearest(X[i], buf)
@@ -151,7 +147,7 @@ func (k *KNN) PredictClass(X [][]float64) []int {
 // identical at any worker count.
 func (k *KNN) Proba(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))
-	forChunks(k.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		buf := make([]neighbour, 0, k.Config.K)
 		for i := lo; i < hi; i++ {
 			nb := k.nearest(X[i], buf)

@@ -75,16 +75,15 @@ func predictFromProba(p [][]float64) []int {
 const inferChunk = 512
 
 // forChunks fans fn over contiguous row ranges of [0,n) on the worker
-// pool (workers: 0 = GOMAXPROCS, 1 = serial). Each chunk writes only its
-// own output indices, so results are identical at any worker count. A
-// chunk that panics panics again on the caller's goroutine, with the
-// pool's *PanicError as the value.
-func forChunks(workers, n int, fn func(lo, hi int)) {
+// pool. Each chunk writes only its own output indices, so results are
+// identical at any worker count. A chunk that panics panics again on the
+// caller's goroutine, with the pool's *PanicError as the value.
+func forChunks(n int, fn func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
 	chunks := (n + inferChunk - 1) / inferChunk
-	err := pool.Each(workers, chunks, func(c int) error {
+	err := pool.Each(chunks, func(c int) error {
 		lo := c * inferChunk
 		hi := lo + inferChunk
 		if hi > n {

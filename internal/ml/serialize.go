@@ -272,11 +272,8 @@ func Export(m any) (*FittedModel, error) {
 	}
 }
 
-// Model reconstructs a live model from the dump. workers bounds the
-// goroutines used for batch inference (0 = GOMAXPROCS, 1 = serial);
-// it is a runtime knob and never part of the serialized state — models
-// are bit-identical at any setting.
-func (fm *FittedModel) Model(workers int) (any, error) {
+// Model reconstructs a live model from the dump.
+func (fm *FittedModel) Model() (any, error) {
 	if fm.Classes < 0 {
 		return nil, fmt.Errorf("ml: %s dump has %d classes", fm.Kind, fm.Classes)
 	}
@@ -289,13 +286,12 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if len(trees) == 0 {
 			return nil, fmt.Errorf("ml: %s dump has no trees", fm.Kind)
 		}
-		cfg := ForestConfig{Workers: workers}
 		if fm.Kind == KindExtraTrees {
-			e := NewExtraTrees(cfg)
+			e := NewExtraTrees(ForestConfig{})
 			e.trees, e.classes = trees, fm.Classes
 			return e, nil
 		}
-		f := NewForest(cfg)
+		f := NewForest(ForestConfig{})
 		f.trees, f.classes = trees, fm.Classes
 		return f, nil
 	case KindTree:
@@ -313,7 +309,7 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := NewGBM(GBMConfig{LearningRate: fm.LearningRate, Workers: workers})
+		g := NewGBM(GBMConfig{LearningRate: fm.LearningRate})
 		g.classes, g.base, g.bias, g.trees = fm.Classes, fm.Base, fm.Bias, trees
 		for _, chain := range fm.OVR {
 			trees, err := loadTrees(chain, 0)
@@ -336,7 +332,7 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := NewKNN(KNNConfig{K: fm.K, Workers: workers})
+		k := NewKNN(KNNConfig{K: fm.K})
 		k.classes = fm.Classes
 		k.x, k.yr, k.yc, k.sc = fm.X, fm.Yr, fm.Yc, sc
 		if len(k.x) == 0 {

@@ -8,9 +8,11 @@ import (
 )
 
 // roundTrip pushes a FittedModel through JSON and back, returning the
-// reconstructed live model.
+// reconstructed live model, and leaves GOMAXPROCS at workers for the rest
+// of the test.
 func roundTrip(t *testing.T, m any, workers int) any {
 	t.Helper()
+	setProcs(t, workers)
 	fm, err := Export(m)
 	if err != nil {
 		t.Fatalf("export: %v", err)
@@ -23,7 +25,7 @@ func roundTrip(t *testing.T, m any, workers int) any {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	out, err := back.Model(workers)
+	out, err := back.Model()
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}
@@ -319,11 +321,11 @@ func TestSerializeRejectsUnfittedAndMalformed(t *testing.T) {
 		t.Fatal("expected error exporting unknown type")
 	}
 	for _, tc := range append(malformedTreeDumps(), malformedNonTreeDumps()...) {
-		if _, err := tc.fm.Model(0); err == nil {
+		if _, err := tc.fm.Model(); err == nil {
 			t.Errorf("%s: dump loaded without error", tc.name)
 		}
 	}
-	if _, err := (&FittedModel{Kind: "nope"}).Model(0); err == nil {
+	if _, err := (&FittedModel{Kind: "nope"}).Model(); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
 }
@@ -378,7 +380,7 @@ func FuzzTreeModel(f *testing.F) {
 		default:
 			return
 		}
-		m, err := fm.Model(1)
+		m, err := fm.Model()
 		if err != nil {
 			return
 		}

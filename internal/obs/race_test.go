@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"catdb/internal/obs"
@@ -18,7 +19,8 @@ func TestConcurrentRecordingUnderPoolMap(t *testing.T) {
 	reg := obs.NewRegistry()
 	root := tr.Root("bench:race")
 	const cells = 64
-	_, err := pool.Map(8, cells, func(i int) (int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // the pool's worker count
+	_, err := pool.Map(cells, func(i int) (int, error) {
 		sp := root.Child("cell")
 		sp.SetInt("index", int64(i))
 		inner := sp.Child("run")
@@ -82,7 +84,8 @@ func TestConcurrentExportDuringRecording(t *testing.T) {
 			_ = reg.WriteProm(&buf)
 		}
 	}()
-	_, err := pool.Map(4, 200, func(i int) (struct{}, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the pool's worker count
+	_, err := pool.Map(200, func(i int) (struct{}, error) {
 		sp := tr.Root("r")
 		sp.SetInt("i", int64(i))
 		sp.End()

@@ -68,9 +68,10 @@ type FittedStep struct {
 //
 // Transform and Predict are safe for concurrent use. The first call
 // derives, once, each step's compiled state, and the first Predict the
-// live model (see compiledSteps and liveModel); the recorded fields and
-// Workers must not change after that, and a FittedPipeline must not be
-// copied by value.
+// live model (see compiledSteps and liveModel); the recorded fields must
+// not change after that, and a FittedPipeline must not be copied by
+// value. Batch inference fans out over the worker pool, so GOMAXPROCS
+// bounds it; predictions are identical at any GOMAXPROCS.
 type FittedPipeline struct {
 	Version   int             `json:"version"`
 	Pipeline  string          `json:"pipeline,omitempty"` // source program name
@@ -82,13 +83,10 @@ type FittedPipeline struct {
 	Steps     []FittedStep    `json:"steps"`
 	Model     *ml.FittedModel `json:"model"`
 
-	// Runtime settings — never serialized. Workers bounds the goroutines
-	// inference uses (0 = GOMAXPROCS, 1 = serial; predictions are
-	// identical at any setting); the first Predict reads it. Metrics, when
-	// set, records per-stage transform latencies and prediction counters,
-	// through instruments resolved once per registry; nil reads no clock
-	// and touches no registry.
-	Workers int           `json:"-"`
+	// Runtime setting — never serialized. Metrics, when set, records
+	// per-stage transform latencies and prediction counters, through
+	// instruments resolved once per registry; nil reads no clock and
+	// touches no registry.
 	Metrics *obs.Registry `json:"-"`
 
 	// Derived once each, read-only afterwards: Steps' compiled state, and

@@ -64,7 +64,7 @@ func fitRoundTrip(t *testing.T, ex *Executor, src string, tr, te *data.Table) (*
 
 // reload returns a fresh copy of fp through a Save/Load round trip. A
 // FittedPipeline is not copied by value, and a fresh one derives its live
-// model again, at its own Workers, on its first Predict.
+// model again on its first Predict.
 func reload(t *testing.T, fp *FittedPipeline) *FittedPipeline {
 	t.Helper()
 	var buf bytes.Buffer
@@ -92,14 +92,14 @@ evaluate metric=auto
 	for _, model := range []string{"random_forest", "gbm", "knn"} {
 		for _, fitWorkers := range []int{1, 4} {
 			tr, te := split(messyTable(900, 2), 5)
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3, Workers: fitWorkers}
+			setProcs(t, fitWorkers)
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3}
 			res, fp := fitRoundTrip(t, ex, fmt.Sprintf(src, model), tr, te)
 			if len(res.TestProba) == 0 {
 				t.Fatalf("%s: no captured test probabilities", model)
 			}
 			for _, predWorkers := range []int{1, 4} {
-				fp := reload(t, fp) // a fresh live model at this worker count
-				fp.Workers = predWorkers
+				setProcs(t, predWorkers)
 				pred, err := fp.Predict(te)
 				if err != nil {
 					t.Fatalf("%s: predict: %v", model, err)
@@ -135,14 +135,14 @@ evaluate metric=auto
 `
 	for _, model := range []string{"random_forest", "gbm", "knn"} {
 		tr, te := split(messyRegTable(900, 4), 6)
-		ex := &Executor{Target: "y", Task: data.Regression, Seed: 3, Workers: 2}
+		setProcs(t, 2)
+		ex := &Executor{Target: "y", Task: data.Regression, Seed: 3}
 		res, fp := fitRoundTrip(t, ex, fmt.Sprintf(src, model), tr, te)
 		if len(res.TestPredictions) == 0 {
 			t.Fatalf("%s: no captured test predictions", model)
 		}
 		for _, predWorkers := range []int{1, 4} {
-			fp := reload(t, fp)
-			fp.Workers = predWorkers
+			setProcs(t, predWorkers)
 			pred, err := fp.Predict(te)
 			if err != nil {
 				t.Fatalf("%s: predict: %v", model, err)
@@ -170,7 +170,8 @@ evaluate metric=auto
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
 		tr, te := split(messyTable(600, 2), 5)
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3, Workers: workers}
+		setProcs(t, workers)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3}
 		_, fp, err := ex.Fit(mustParse(t, src), tr, te)
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +272,8 @@ evaluate metric=auto
 }
 
 // Serving is bit-identical at any worker count: Transform and Predict
-// over the same batch must not depend on Workers.
+// over the same batch must not depend on GOMAXPROCS, which sizes the
+// pool inference fans out over.
 func TestServingWorkersIdentical(t *testing.T) {
 	src := `pipeline "serve"
 impute "num" strategy=median
@@ -290,7 +292,7 @@ train model=random_forest target="y" trees=10
 	batch := messyTable(400, 9)
 	batch.DropColumn("y")
 
-	fp.Workers = 1
+	setProcs(t, 1)
 	wantT, err := fp.Transform(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +302,7 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		fp := reload(t, fp) // Workers is read once, by the first Predict
-		fp.Workers = w
+		setProcs(t, w)
 		gotT, err := fp.Transform(batch)
 		if err != nil {
 			t.Fatal(err)
@@ -620,7 +621,7 @@ type panicModel struct{}
 func (panicModel) FitClass([][]float64, []int, int) error { return nil }
 
 func (panicModel) Proba(X [][]float64) [][]float64 {
-	if err := pool.Each(2, 2, func(i int) error {
+	if err := pool.Each(2, func(i int) error {
 		var seen map[int]bool
 		seen[i] = true // nil map: panics
 		return nil

@@ -1,6 +1,7 @@
 package pipescript
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -90,7 +91,7 @@ func TestCheckBuildsCheapestModels(t *testing.T) {
 	for _, tc := range checkTasks() {
 		for _, model := range modelNames {
 			for _, size := range sizeCases {
-				ex := &Executor{Target: "y", Task: tc.task, Seed: 5, Workers: 2}
+				ex := &Executor{Target: "y", Task: tc.task, Seed: 5}
 				execute := func(p *Program, tr, te *data.Table) error {
 					_, err := ex.Execute(p, tr, te)
 					return err
@@ -314,9 +315,11 @@ func codes(vals []string) []float64 {
 // FuzzExecute draws a program as genProgram does, ending in a train
 // statement for any model name (one unknown) with its size absent (any
 // size over 200), zero, negative or up to 200, and runs it on a tiny
-// classification or regression table. Check must give Execute's outcome,
-// and Execute must give the same result and error at one and two
-// workers.
+// classification or regression table. No outcome may be E_OP_PANIC:
+// a panic in an op body or in the model code it calls is a fault of the
+// executor, whatever the program. Check must give Execute's outcome, and
+// Execute must give the same result and error at GOMAXPROCS 1 and 2, the
+// pool's worker count.
 func FuzzExecute(f *testing.F) {
 	sizes := []int16{300, 0, -5, 1, 7, 50, 200} // 300: absent
 	for seed := int64(0); seed < 40; seed++ {
@@ -340,21 +343,28 @@ func FuzzExecute(f *testing.F) {
 			task = data.Regression
 		}
 		tr, te := fuzzTables(regression, strs)
-		one := &Executor{Target: "y", Task: task, Seed: 1, Workers: 1}
-		two := &Executor{Target: "y", Task: task, Seed: 1, Workers: 2}
-		res1, err1 := one.Execute(p, tr, te)
-		res2, err2 := two.Execute(p, tr, te)
+		ex := &Executor{Target: "y", Task: task, Seed: 1}
+		setProcs(t, 1)
+		res1, err1 := ex.Execute(p, tr, te)
+		setProcs(t, 2)
+		res2, err2 := ex.Execute(p, tr, te)
+		for _, err := range []error{err1, err2} {
+			var re *RuntimeError
+			if errors.As(err, &re) && re.Code == ErrOpPanic {
+				t.Fatalf("%v on\n%s", err, src)
+			}
+		}
 		if outcome(err1) != outcome(err2) {
-			t.Fatalf("workers 1 and 2 disagree on\n%s\n1: %v\n2: %v", src, err1, err2)
+			t.Fatalf("GOMAXPROCS 1 and 2 disagree on\n%s\n1: %v\n2: %v", src, err1, err2)
 		}
 		if err1 == nil {
 			a, b := *res1, *res2
 			a.Program, b.Program = nil, nil
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("workers 1 and 2 give different results on\n%s\n1: %+v\n2: %+v", src, a, b)
+				t.Fatalf("GOMAXPROCS 1 and 2 give different results on\n%s\n1: %+v\n2: %+v", src, a, b)
 			}
 		}
-		if got := one.Check(p, tr, te); outcome(got) != outcome(err1) {
+		if got := ex.Check(p, tr, te); outcome(got) != outcome(err1) {
 			t.Fatalf("Check and Execute disagree on\n%s\nExecute: %v\nCheck:   %v", src, err1, got)
 		}
 	})

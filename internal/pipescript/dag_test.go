@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,15 +23,25 @@ import (
 // dagWorkerCounts are the pool sizes every equivalence test sweeps.
 var dagWorkerCounts = []int{1, 2, 4, 8}
 
+// setProcs sets GOMAXPROCS to n until tb ends (for a benchmark, outside
+// its timer). The pool sizes the model fits and inference from
+// GOMAXPROCS, so this is how a test or benchmark picks its worker count.
+func setProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // execBothWays runs the program with one worker and then at every
 // worker count, requiring bit-identical results and errors.
 func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
-	ref := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: 1}
+	setProcs(t, 1)
+	ref := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 	wantRes, wantErr := ref.Execute(p, tr, te)
 	for _, w := range dagWorkerCounts {
-		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w}
+		setProcs(t, w)
+		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 		gotRes, gotErr := ex.Execute(p, tr, te)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("workers=%d: reference err=%v got err=%v", w, wantErr, gotErr)
@@ -201,7 +212,8 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	ref := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: 1}
+	setProcs(t, 1)
+	ref := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 	_, wantFP, err := ref.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +223,8 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range dagWorkerCounts {
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
+		setProcs(t, w)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 		_, gotFP, err := ex.Fit(p, tr, te)
 		if err != nil {
 			t.Fatal(err)

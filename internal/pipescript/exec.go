@@ -44,25 +44,25 @@ func (r *Result) Primary() float64 {
 	return r.TestAUC
 }
 
+// maxOneHot caps the categories of a one-hot statement that sets no
+// max_categories option.
+const maxOneHot = 64
+
 // Executor runs parsed PipeScript programs against a dataset split.
+// Statements run one at a time in program order, and every op body is one
+// serial row loop; model fits and inference fan out over the worker pool,
+// so GOMAXPROCS bounds them. Results, fitted artifacts, errors and metric
+// counters are bit-identical at any GOMAXPROCS.
 type Executor struct {
 	Target string
 	Task   data.Task
 	Seed   int64
-	// MaxOneHot caps categories per one-hot statement (default 64).
-	MaxOneHot int
 	// AllowNoTrain permits programs without a train statement (used to
 	// validate CatDB Chain's intermediate preprocessing/fe pipelines).
 	AllowNoTrain bool
 	// Policy, when set, enforces organizational library constraints
 	// (disallowed models/packages raise E_POLICY).
 	Policy *Policy
-	// Workers is the one execution knob: it bounds the goroutines of
-	// the tree/KNN model fits and inference (0 = GOMAXPROCS, 1 =
-	// serial). Statements run one at a time in program order, and every
-	// op body is one serial row loop. Results, fitted artifacts, errors,
-	// and metric counters are bit-identical at any setting.
-	Workers int
 	// Metrics, when set, records execution counts, latencies, and error
 	// codes (catdb_pipescript_*) into the observability registry. Nil
 	// disables recording with zero overhead.
@@ -130,15 +130,11 @@ func (e *Executor) Check(p *Program, train, test *data.Table) error {
 func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error) {
 	tr := train.Clone()
 	te := test.Clone()
-	maxOH := e.MaxOneHot
-	if maxOH <= 0 {
-		maxOH = 64
-	}
 	res := &Result{Program: p}
 
 	trained := false
 	for _, st := range p.Stmts {
-		if err := e.execStmt(st, tr, te, maxOH, res, &trained); err != nil {
+		if err := e.execStmt(st, tr, te, res, &trained); err != nil {
 			return nil, err
 		}
 	}
@@ -164,7 +160,7 @@ func lastLine(p *Program) int {
 // an E_OP_PANIC runtime error at the statement's line, so the repair
 // loop can re-prompt instead of the process crashing; the tables are
 // the executor's own clones and are discarded with the error.
-func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool) (err error) {
+func (e *Executor) execStmt(st Stmt, tr, te *data.Table, res *Result, trained *bool) (err error) {
 	sp := e.Span.Child("stmt")
 	sp.SetStr("op", st.Op)
 	sp.SetInt("line", int64(st.Line))
@@ -182,7 +178,7 @@ func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result,
 		// Parse guarantees registered ops; this is unreachable by construction.
 		return rtErr(st.Line, ErrBadOption, "unhandled statement %q", st.Op)
 	}
-	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained})
+	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, res: res, trained: trained})
 }
 
 // requireCol resolves a column reference in a core statement.
@@ -369,7 +365,7 @@ func (e *Executor) execOnehot(st Stmt, c *execCtx) error {
 	if err != nil {
 		return err
 	}
-	maxCats := c.maxOH
+	maxCats := maxOneHot
 	if v := st.Opt("max_categories", ""); v != "" {
 		mc, perr := strconv.Atoi(v)
 		if perr != nil || mc <= 0 {
@@ -882,22 +878,21 @@ func (e *Executor) buildClassifier(st Stmt, name string) (ml.Classifier, error) 
 	depth := atoiOpt(st, "depth", 0)
 	switch name {
 	case "random_forest":
-		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
+		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed}), nil
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
-		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers}), nil
+		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed}), nil
 	case "logistic_regression":
 		return ml.NewLogistic(ml.LinearConfig{Epochs: e.size(st, "epochs", 20), Seed: e.Seed}), nil
 	case "knn":
-		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
+		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000}), nil
 	case "naive_bayes":
 		return ml.NewNaiveBayes(), nil
 	case "tabpfn":
 		return ml.NewTabPFNSim(), nil
 	case "extra_trees":
-		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
+		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed}), nil
 	case "svm":
 		return ml.NewSVM(ml.LinearConfig{Epochs: e.size(st, "epochs", 10), Seed: e.Seed}), nil
 	default:
@@ -910,20 +905,19 @@ func (e *Executor) buildRegressor(st Stmt, name string) (ml.Regressor, error) {
 	depth := atoiOpt(st, "depth", 0)
 	switch name {
 	case "random_forest":
-		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
+		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed}), nil
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed}), nil
 	case "gbm", "gradient_boosting":
-		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers}), nil
+		return ml.NewGBM(ml.GBMConfig{Rounds: e.size(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed}), nil
 	case "linear_regression":
 		return ml.NewLinear(ml.LinearConfig{Epochs: e.size(st, "epochs", 150)}), nil
 	case "ridge":
 		return ml.NewLinear(ml.LinearConfig{Epochs: e.size(st, "epochs", 150), L2: 0.01}), nil
 	case "knn":
-		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
+		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000}), nil
 	case "extra_trees":
-		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed, Workers: e.Workers}), nil
+		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed}), nil
 	default:
 		return nil, rtErr(st.Line, ErrUnknownModel, "unknown regression model %q", name)
 	}

@@ -185,7 +185,7 @@ train model=random_forest target="y" trees=10%s
 evaluate metric=auto
 `
 	fit := func(opts string) (*Result, []byte) {
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: 2, CapturePredictions: true}
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, CapturePredictions: true}
 		res, fp, err := ex.Fit(mustParse(t, fmt.Sprintf(src, opts)), tr, te)
 		if err != nil {
 			t.Fatalf("train%s: %v", opts, err)

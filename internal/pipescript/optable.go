@@ -101,7 +101,6 @@ type execCtx struct {
 	e       *Executor
 	tr      *data.Table
 	te      *data.Table
-	maxOH   int
 	res     *Result
 	trained *bool
 }

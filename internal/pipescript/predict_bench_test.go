@@ -169,7 +169,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 // artifact is fitted up front, then each iteration transforms and
 // scores a 500k-row batch through it (serial row loops, the feature
 // completeness check, the matrix build and 15-tree forest inference on
-// 4 workers). It was BenchmarkShardBatchScore in the row-shard lane.
+// the pool; make bench runs it at -cpu=4, so on 4 workers). It was
+// BenchmarkShardBatchScore in the row-shard lane.
 func BenchmarkPredictBatch500k(b *testing.B) {
 	const batchRows = 500_000
 	fitTab := chainTable(20_000)
@@ -197,7 +198,6 @@ train model=random_forest target="y" trees=15
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp.Workers = 4
 	batch := chainTable(batchRows)
 	if _, err := fp.Predict(batch.Head(512)); err != nil { // warm the live model
 		b.Fatal(err)

@@ -79,12 +79,14 @@ func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
-	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: 1}
+	setProcs(t, 1)
+	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 	wantRes, wantErr := base.Execute(p, tr, te)
 	for _, lay := range rowLayouts {
 		for _, w := range shardWorkersSweep {
 			tr, te := mk()
-			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w}
+			setProcs(t, w)
+			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 			gotRes, gotErr := ex.Execute(p, lay.of(tr), lay.of(te))
 			label := fmt.Sprintf("layout=%s workers=%d", lay.name, w)
 			if (wantErr == nil) != (gotErr == nil) {
@@ -254,7 +256,8 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: 1}
+	setProcs(t, 1)
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +268,8 @@ train model=random_forest target="y" trees=10
 	}
 	for _, lay := range rowLayouts {
 		for _, w := range shardWorkersSweep {
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w}
+			setProcs(t, w)
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 			_, gotFP, err := ex.Fit(p, lay.of(tr), lay.of(te))
 			if err != nil {
 				t.Fatal(err)

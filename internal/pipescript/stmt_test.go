@@ -61,7 +61,7 @@ func TestOpPanicContained(t *testing.T) {
 	}{
 		{"impute", 2, func(*Executor, Stmt, *execCtx) error { panic("boom") }},
 		{"train", 6, func(*Executor, Stmt, *execCtx) error {
-			if err := pool.Each(2, 4, func(int) error { panic("boom") }); err != nil {
+			if err := pool.Each(4, func(int) error { panic("boom") }); err != nil {
 				panic(err)
 			}
 			return nil
@@ -77,7 +77,8 @@ func TestOpPanicContained(t *testing.T) {
 			for _, w := range dagWorkerCounts {
 				tr, te := split(messyTable(200, 2), 3)
 				reg := obs.NewRegistry()
-				ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: w, Metrics: reg}
+				setProcs(t, w)
+				ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Metrics: reg}
 				_, err := ex.Execute(mustParse(t, stmtSrc), tr, te)
 				var re *RuntimeError
 				if !errors.As(err, &re) || re.Code != ErrOpPanic || re.Line != tc.line {

@@ -187,7 +187,7 @@ func TestExtraOpsInvalidateSummary(t *testing.T) {
 	ex := &Executor{Target: "y", Task: data.Regression, Seed: 1}
 	run := func(st Stmt, tr, te *data.Table) error {
 		trained := false
-		return ex.execStmt(st, tr, te, 64, &Result{}, &trained)
+		return ex.execStmt(st, tr, te, &Result{}, &trained)
 	}
 
 	tr, te := mk()

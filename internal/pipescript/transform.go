@@ -171,7 +171,7 @@ func (fp *FittedPipeline) buildModel() (m any, err error) {
 			m, err = nil, artErr(ErrArtifactModel, "model reconstruction panicked: %v", r)
 		}
 	}()
-	m, err = fp.Model.Model(fp.Workers)
+	m, err = fp.Model.Model()
 	if err != nil {
 		return nil, artErr(ErrArtifactModel, "%v", err)
 	}

@@ -1,12 +1,15 @@
 // Package pool provides the bounded worker pool underneath every
-// concurrent code path in the repo: the bench harness fans experiment
-// cells out over it, and the public ParallelPipGen batch API reuses it.
-// The contract that makes concurrency safe to adopt everywhere is
-// determinism: results come back in index order, and the error returned
-// is the one a serial loop over the same cells would have hit first, so a
-// caller cannot observe scheduling order through the API. A task that
-// panics fails like a task that returns an error (PanicError), on the
-// serial path and on the parallel one alike, so a panic on a pool
+// concurrent code path in the repo: model fits and inference, the
+// profiler, the CSV tokenizer, the bench harness's experiment cells and
+// the public ParallelPipGen batch API all fan out over it. It is the one
+// place that decides concurrency: a batch runs on runtime.GOMAXPROCS(0)
+// workers, capped at its size, so GOMAXPROCS bounds every fan-out in the
+// process. The contract that makes concurrency safe to adopt everywhere
+// is determinism: results come back in index order, and the error
+// returned is the one a serial loop over the same cells would have hit
+// first, so a caller cannot observe scheduling order through the API. A
+// task that panics fails like a task that returns an error (PanicError),
+// on the serial path and on the parallel one alike, so a panic on a pool
 // goroutine never takes the process down.
 package pool
 
@@ -45,9 +48,6 @@ func recoverTask[T any](fn func(i int) (T, error)) func(i int) (T, error) {
 	}
 }
 
-// DefaultWorkers is the default pool size: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // poolMetrics is the process-wide observability registry for the pool.
 // Map and Each record batch/task counts, live queue depth and
 // active-worker gauges, the peak worker count, and cumulative worker busy
@@ -61,8 +61,8 @@ var poolMetrics atomic.Pointer[obs.Registry]
 // metrics sink is too.
 func SetMetrics(r *obs.Registry) { poolMetrics.Store(r) }
 
-// Map runs fn(0..n-1) on at most workers goroutines (workers <= 0 means
-// DefaultWorkers) and returns the results in index order.
+// Map runs fn(0..n-1) on min(GOMAXPROCS, n) goroutines and returns the
+// results in index order. With one worker it runs inline on the caller.
 //
 // Error semantics match a serial loop: when calls fail, Map returns the
 // error of the lowest-indexed failing call and nil results. Indices are
@@ -70,10 +70,8 @@ func SetMetrics(r *obs.Registry) { poolMetrics.Store(r) }
 // every index below the returned one has completed — the reported error
 // is exactly the one the serial harness would have surfaced. A call that
 // panics fails with a *PanicError.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -176,8 +174,8 @@ func observedTask[T any](reg *obs.Registry, fn func(i int) (T, error)) func(i in
 }
 
 // Each is Map for cell functions with no result value.
-func Each(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
+func Each(n int, fn func(i int) error) error {
+	_, err := Map(n, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)
 	})
 	return err

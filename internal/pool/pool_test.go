@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,18 @@ import (
 	"catdb/internal/obs"
 )
 
+// setProcs sets GOMAXPROCS to n for the rest of the test (n = 0 leaves
+// it as it is). The pool sizes every batch from GOMAXPROCS, so this is
+// how a test picks its worker count.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestMapOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		out, err := Map(workers, 33, func(i int) (int, error) { return i * i, nil })
+		setProcs(t, workers)
+		out, err := Map(33, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +39,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map[int](4, 0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
+	out, err := Map[int](0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -39,7 +49,8 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	// Several cells fail; the reported error must be the one a serial
 	// loop would have hit first, regardless of scheduling.
 	for _, workers := range []int{1, 4, 16} {
-		_, err := Map(workers, 100, func(i int) (int, error) {
+		setProcs(t, workers)
+		_, err := Map(100, func(i int) (int, error) {
 			if i == 7 || i == 40 || i == 99 {
 				return 0, fmt.Errorf("cell %d", i)
 			}
@@ -64,8 +75,9 @@ func TestMapRecoversPanics(t *testing.T) {
 	active := reg.Gauge("catdb_pool_active_workers")
 	queue := reg.Gauge("catdb_pool_queue_depth")
 	for _, workers := range []int{1, 4} {
+		setProcs(t, workers)
 		activeBefore, queueBefore := active.Value(), queue.Value()
-		out, err := Map(workers, 40, func(i int) (int, error) {
+		out, err := Map(40, func(i int) (int, error) {
 			switch i {
 			case 3:
 				panicInTask(i)
@@ -93,7 +105,8 @@ func TestMapRecoversPanics(t *testing.T) {
 	}
 	// Each, with a panic behind an earlier error: the lower index, the
 	// error, still wins.
-	err := Each(4, 10, func(i int) error {
+	setProcs(t, 4)
+	err := Each(10, func(i int) error {
 		if i == 2 {
 			return errors.New("cell 2")
 		}
@@ -113,7 +126,8 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak int64
 	var mu sync.Mutex
-	_, err := Map(workers, 50, func(i int) (int, error) {
+	setProcs(t, workers)
+	_, err := Map(50, func(i int) (int, error) {
 		cur := atomic.AddInt64(&inFlight, 1)
 		mu.Lock()
 		if cur > peak {
@@ -132,15 +146,16 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestEach(t *testing.T) {
+	setProcs(t, 4)
 	var n int64
-	if err := Each(4, 20, func(i int) error { atomic.AddInt64(&n, 1); return nil }); err != nil {
+	if err := Each(20, func(i int) error { atomic.AddInt64(&n, 1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 20 {
 		t.Fatalf("ran %d cells", n)
 	}
 	wantErr := errors.New("boom")
-	if err := Each(4, 5, func(i int) error { return wantErr }); !errors.Is(err, wantErr) {
+	if err := Each(5, func(i int) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -48,10 +48,12 @@ func BenchmarkProfileKDD98(b *testing.B) {
 	benchProfile(b, "KDD98", 0.2, Options{Seed: 7})
 }
 
-// BenchmarkProfileKDD98Serial pins Workers=1: the single-threaded win from
-// memoized summaries and inclusion pruning alone.
+// BenchmarkProfileKDD98Serial runs at GOMAXPROCS 1, so the pool profiles
+// on one worker: the single-threaded win from memoized summaries and
+// inclusion pruning alone.
 func BenchmarkProfileKDD98Serial(b *testing.B) {
-	benchProfile(b, "KDD98", 0.2, Options{Seed: 7, Workers: 1})
+	setProcs(b, 1)
+	benchProfile(b, "KDD98", 0.2, Options{Seed: 7})
 }
 
 // BenchmarkProfileKDD98Warm re-profiles the same table instance: column

@@ -25,9 +25,7 @@ type Cache struct {
 	metrics *obs.Registry
 }
 
-// cacheKey identifies one profiling computation. Workers is normalized
-// out of the options: the profiler guarantees bit-identical output at any
-// worker count, so concurrency must not fragment the cache.
+// cacheKey identifies one profiling computation.
 type cacheKey struct {
 	content uint64 // data.Table.ContentHash
 	rows    int
@@ -68,7 +66,6 @@ func (c *Cache) Table(t *data.Table, target string, task data.Task, opts Options
 		return Table(t, target, task, opts)
 	}
 	norm := opts.withDefaults()
-	norm.Workers = 0
 	key := cacheKey{
 		content: t.ContentHash(),
 		rows:    t.NumRows(),

@@ -3,12 +3,21 @@ package profile
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"catdb/internal/data"
 )
 
 func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// setProcs sets GOMAXPROCS to n until tb ends (for a benchmark, outside
+// its timer). The pool sizes the profiler's fan-out from GOMAXPROCS, so
+// this is how a test or benchmark picks its worker count.
+func setProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // normalized strips the wall-clock field so profiles can be compared
 // structurally: Elapsed is the only field that legitimately varies between
@@ -37,12 +46,14 @@ func financialTable(t *testing.T) *data.Table {
 // read-only before the fan-out.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tab := range []*data.Table{salaryLikeTable(), financialTable(t)} {
-		serial, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42, Workers: 1})
+		setProcs(t, 1)
+		serial, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42, Workers: workers})
+			setProcs(t, workers)
+			par, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,13 +104,15 @@ func TestCacheBitIdenticalAndShared(t *testing.T) {
 		t.Fatal("content-identical table from a second load must hit the cache")
 	}
 
-	// Workers must not fragment the cache: the output is worker-invariant.
-	p4, err := c.Table(tab, target, data.Regression, Options{Seed: 7, Workers: 3})
+	// The worker count must not fragment the cache: the output is
+	// worker-invariant.
+	setProcs(t, 3)
+	p4, err := c.Table(tab, target, data.Regression, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p4 != p1 {
-		t.Fatal("worker count must be normalized out of the cache key")
+		t.Fatal("a lookup at another GOMAXPROCS must hit the cache")
 	}
 }
 

@@ -119,14 +119,14 @@ func (p *Profile) buildIndex() {
 	p.index = idx
 }
 
+// maxRowsForPairwise caps the rows used for embedding/pairwise analysis.
+const maxRowsForPairwise = 2000
+
 // Options tunes profiling.
 type Options struct {
 	// Samples is τ₁ of Algorithm 1: values stored per non-categorical
 	// column. Default 10 (the paper's LLM-type-inference sample size).
 	Samples int
-	// MaxRowsForPairwise caps the rows used for embedding/pairwise
-	// analysis. Default 2000.
-	MaxRowsForPairwise int
 	// CategoricalMaxDistinct is the distinct-count threshold under which a
 	// string column is treated as a categorical candidate. Default 64.
 	CategoricalMaxDistinct int
@@ -134,16 +134,11 @@ type Options struct {
 	// (Seed, column index, column name), so the profile is bit-identical
 	// at any worker count.
 	Seed int64
-	// Workers bounds the per-column fan-out (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Samples <= 0 {
 		o.Samples = 10
-	}
-	if o.MaxRowsForPairwise <= 0 {
-		o.MaxRowsForPairwise = 2000
 	}
 	if o.CategoricalMaxDistinct <= 0 {
 		o.CategoricalMaxDistinct = 64
@@ -152,8 +147,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Table profiles a single table (Algorithm 1) against the given target
-// column and task. The per-column work fans out over a bounded worker
-// pool (Options.Workers); every column derives its sampling RNG from the
+// column and task. The per-column work fans out over the worker pool,
+// so GOMAXPROCS bounds it; every column derives its sampling RNG from the
 // profiling seed and its own identity, and all shared state (summaries,
 // embeddings) is warmed read-only before the fan-out, so the result is
 // bit-identical to the serial loop at any worker count.
@@ -168,8 +163,8 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 
 	// Embedding working set: sample rows once for all pairwise analysis.
 	work := t
-	if t.NumRows() > opts.MaxRowsForPairwise {
-		work = t.Sample(opts.MaxRowsForPairwise, rng)
+	if t.NumRows() > maxRowsForPairwise {
+		work = t.Sample(maxRowsForPairwise, rng)
 	}
 
 	// Warm pass: compute each column's memoized summary (full table and
@@ -180,7 +175,7 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	vecs := make([]embed.Vector, m)
 	sums := make([]*data.Summary, m)
 	workSums := make([]*data.Summary, m)
-	if err := pool.Each(opts.Workers, m, func(i int) error {
+	if err := pool.Each(m, func(i int) error {
 		sums[i] = t.Cols[i].Summary()
 		workSums[i] = work.Cols[i].Summary()
 		vecs[i] = embed.Column(work.Cols[i])
@@ -190,7 +185,7 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	}
 	targetCol := work.Col(target)
 
-	cols, err := pool.Map(opts.Workers, m, func(ci int) (*ColumnProfile, error) {
+	cols, err := pool.Map(m, func(ci int) (*ColumnProfile, error) {
 		c := t.Cols[ci]
 		sum := sums[ci]
 		// All ratio/count fields come from the warmed summary (the same
