@@ -173,7 +173,8 @@ verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-dag l
 # exec lanes are single passes: their baseline blocks are earlier
 # captures (the map-based summary; the statement DAG), which benchjson
 # preserves. The predict lane runs its 500k-row batch at its own
-# iteration count and at -cpu=4 (four pool workers), and folds both runs
+# iteration count and at the host's GOMAXPROCS (a lane that sets more Ps
+# than the host has CPUs measures oversubscription), and folds both runs
 # into one file; its single-row rows include a serve-shaped 17-column row
 # widened to 100 features (BenchmarkPredictSingleRowWide). The ML lane
 # runs at -cpu=1, so every fit and inference runs on one worker and its
@@ -186,7 +187,7 @@ bench:
 	$(GO) test -run='^$$' -bench=Data -benchmem -benchtime=10x -count=5 ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_data.json
 	$(GO) test -run='^$$' -bench=Obs -benchmem -benchtime=50x -count=5 ./internal/bench/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	{ $(GO) test -run='^$$' -bench='^BenchmarkPredict(SingleRow|SingleRowWide|Batch)$$' -benchmem -benchtime=300x -count=5 ./internal/pipescript/; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -cpu=4 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
+	  $(GO) test -run='^$$' -bench='^BenchmarkPredictBatch500k$$' -benchmem -benchtime=3x -count=5 -timeout=30m ./internal/pipescript/; } | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Summary -benchmem -benchtime=1x -count=5 -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_summary.json

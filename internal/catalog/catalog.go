@@ -37,8 +37,6 @@ type Update struct {
 	Kind             UpdateKind
 	OriginalDistinct int
 	RefinedDistinct  int
-	OriginalType     profile.FeatureType
-	RefinedType      profile.FeatureType
 	NewColumns       []string
 }
 
@@ -47,8 +45,6 @@ type Result struct {
 	// Table is the materialized prepared dataset (single consolidated
 	// table with refinements applied).
 	Table *data.Table
-	// Profile is the re-profiled refined table.
-	Profile *profile.Profile
 	// Updates lists every applied refinement in column order.
 	Updates []Update
 	// Elapsed is the wall time of refinement (Table 6's refined column).
@@ -68,8 +64,8 @@ const (
 // Options tunes refinement.
 type Options struct {
 	Seed int64
-	// Cache, when set, memoizes the two profiling passes by table content
-	// (nil falls back to direct profiling).
+	// Cache, when set, memoizes the profile of the input table that
+	// refinement reads, by table content (nil profiles directly).
 	Cache *profile.Cache
 }
 
@@ -85,7 +81,10 @@ func RefineDataset(ds *data.Dataset, client llm.Client, opts Options) (*Result, 
 }
 
 // Refine applies the §3.2 refinement workflow to a single table in place
-// of the original dataset (the paper overwrites the input dataset).
+// of the original dataset (the paper overwrites the input dataset). It
+// profiles its input once; the refined table is not profiled here, since
+// its consumers profile what they read (core.Run profiles its train
+// split).
 func Refine(t *data.Table, target string, task data.Task, client llm.Client, opts Options) (*Result, error) {
 	start := time.Now()
 	out := t.Clone()
@@ -108,7 +107,6 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 			res.Updates = append(res.Updates, Update{
 				Column: cp.Name, Kind: UpdateDropConstant,
 				OriginalDistinct: cp.DistinctCount, RefinedDistinct: 0,
-				OriginalType: cp.FeatureType, RefinedType: profile.FeatureConstant,
 			})
 			continue
 		}
@@ -133,7 +131,6 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 			res.Updates = append(res.Updates, Update{
 				Column: cp.Name, Kind: UpdateList,
 				OriginalDistinct: origDistinct, RefinedDistinct: len(items),
-				OriginalType: cp.FeatureType, RefinedType: profile.FeatureList,
 				NewColumns: newCols,
 			})
 		case "composite":
@@ -149,7 +146,6 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 			res.Updates = append(res.Updates, Update{
 				Column: cp.Name, Kind: UpdateComposite,
 				OriginalDistinct: origDistinct, RefinedDistinct: refined,
-				OriginalType: cp.FeatureType, RefinedType: profile.FeatureCategorical,
 				NewColumns: []string{nameA, nameB},
 			})
 		case "sentence":
@@ -158,7 +154,6 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 			res.Updates = append(res.Updates, Update{
 				Column: cp.Name, Kind: UpdateSentence,
 				OriginalDistinct: origDistinct, RefinedDistinct: col.DistinctCount(),
-				OriginalType: cp.FeatureType, RefinedType: profile.FeatureCategorical,
 			})
 		}
 	}
@@ -196,17 +191,11 @@ func Refine(t *data.Table, target string, task data.Task, client llm.Client, opt
 			res.Updates = append(res.Updates, Update{
 				Column: col.Name, Kind: UpdateDedup,
 				OriginalDistinct: before, RefinedDistinct: after,
-				OriginalType: profile.FeatureCategorical, RefinedType: profile.FeatureCategorical,
 			})
 		}
 	}
 
-	refProf, err := opts.Cache.Table(out, target, task, profile.Options{Samples: typeSamples, Seed: opts.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("catalog: re-profile: %w", err)
-	}
 	res.Table = out
-	res.Profile = refProf
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -101,10 +101,21 @@ func TestRefineSalaryExample(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Fatal("elapsed not recorded")
 	}
-	// Refined profile exists and reflects the new columns.
-	if res.Profile == nil || res.Profile.Column("address_part") == nil {
+	// The refined table profiles with the new columns.
+	if profileOf(t, res.Table).Column("address_part") == nil {
 		t.Fatal("refined profile incomplete")
 	}
+}
+
+// profileOf profiles a refined salary table as refinement profiles its
+// input.
+func profileOf(t *testing.T, tb *data.Table) *profile.Profile {
+	t.Helper()
+	p, err := profile.Table(tb, "salary", data.Regression, profile.Options{Samples: typeSamples, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestRefineDirtyTarget(t *testing.T) {
@@ -190,7 +201,19 @@ func TestRefineRecordsProfileTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft := res.Profile.Column("experience").FeatureType; ft != profile.FeatureCategorical {
+	if ft := profileOf(t, res.Table).Column("experience").FeatureType; ft != profile.FeatureCategorical {
 		t.Fatalf("refined experience type = %s", ft)
+	}
+}
+
+// Refinement profiles its input once and never its output: with a cache
+// attached, one Refine makes exactly one lookup.
+func TestRefineProfilesOnce(t *testing.T) {
+	cache := profile.NewCache()
+	if _, err := Refine(salaryTable(300), "salary", data.Regression, client(t), Options{Seed: 1, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cache.Stats(); hits+misses != 1 {
+		t.Fatalf("profile cache lookups = %d hits + %d misses, want 1", hits, misses)
 	}
 }

@@ -105,7 +105,6 @@ type Result struct {
 	Pipeline string // final PipeScript source
 	Exec     *pipescript.Result
 	Cost     Cost
-	Errors   []errkb.Classified
 	// Handcrafted reports that the τ₂ budget was exhausted and the
 	// fallback pipeline was used (Algorithm 4 lines 16-17).
 	Handcrafted bool
@@ -517,7 +516,6 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 		if pending != nil {
 			flush(cls.Category != pendingCls.Category || cls.Type != pendingCls.Type || cls.Code != pendingCls.Code)
 		}
-		res.Errors = append(res.Errors, cls)
 
 		asp := parent.Child("debug-attempt")
 		asp.SetInt("attempt", int64(attempt))

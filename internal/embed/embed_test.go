@@ -4,56 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"catdb/internal/data"
 )
-
-func TestColumnEmbeddingNormalized(t *testing.T) {
-	c := data.NewString("s", []string{"a", "b", "c", "a"})
-	v := Column(c)
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if math.Abs(norm-1) > 1e-9 {
-		t.Fatalf("norm = %g, want 1", math.Sqrt(norm))
-	}
-}
-
-func TestCosineSelfSimilarity(t *testing.T) {
-	c := data.NewString("s", []string{"x", "y", "z", "x", "y"})
-	v := Column(c)
-	if got := Cosine(v, v); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("self cosine = %g", got)
-	}
-}
-
-func TestCosineSimilarColumnsCloserThanDissimilar(t *testing.T) {
-	a := data.NewString("a", []string{"red", "blue", "green", "red", "blue", "green"})
-	b := data.NewString("b", []string{"red", "blue", "green", "green", "blue", "red"})
-	c := data.NewString("c", []string{"cat", "dog", "bird", "fish", "lion", "bear"})
-	simAB := Cosine(Column(a), Column(b))
-	simAC := Cosine(Column(a), Column(c))
-	if simAB <= simAC {
-		t.Fatalf("similar columns cos=%g should beat dissimilar cos=%g", simAB, simAC)
-	}
-}
-
-func TestInclusionScore(t *testing.T) {
-	sub := data.NewString("sub", []string{"a", "b"})
-	sup := data.NewString("sup", []string{"a", "b", "c", "d"})
-	if got := InclusionScore(sub, sup); got != 1 {
-		t.Fatalf("full inclusion = %g, want 1", got)
-	}
-	if got := InclusionScore(sup, sub); got != 0.5 {
-		t.Fatalf("partial inclusion = %g, want 0.5", got)
-	}
-	empty := data.NewString("e", nil)
-	if InclusionScore(empty, sup) != 0 {
-		t.Fatal("empty column inclusion must be 0")
-	}
-}
 
 func TestCorrelationNumeric(t *testing.T) {
 	n := 200
@@ -152,47 +105,8 @@ func TestCramersVDegenerate(t *testing.T) {
 	}
 }
 
-// Property: cosine similarity is symmetric and bounded.
-func TestCosineProperties(t *testing.T) {
-	f := func(seedA, seedB int64) bool {
-		ra := rand.New(rand.NewSource(seedA))
-		rb := rand.New(rand.NewSource(seedB))
-		mk := func(r *rand.Rand) data.Column {
-			n := 5 + r.Intn(40)
-			vals := make([]string, n)
-			for i := range vals {
-				vals[i] = string(rune('a' + r.Intn(10)))
-			}
-			return *data.NewString("c", vals)
-		}
-		ca, cb := mk(ra), mk(rb)
-		va, vb := Column(&ca), Column(&cb)
-		s1, s2 := Cosine(va, vb), Cosine(vb, va)
-		return math.Abs(s1-s2) < 1e-12 && s1 >= -1 && s1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNumericBucketStability(t *testing.T) {
-	if numericBucket(123) != numericBucket(150) {
-		t.Fatal("same leading digit+magnitude should share a bucket")
-	}
-	if numericBucket(123) == numericBucket(923) {
-		t.Fatal("different leading digits should differ")
-	}
-	if numericBucket(0) != "zero" {
-		t.Fatal("zero bucket")
-	}
-	if numericBucket(-5) == numericBucket(5) {
-		t.Fatal("sign must matter")
-	}
-}
-
-// Regression: numeric columns of unequal length used to fall through to
-// the embedding-cosine path silently; they must get a real Pearson score
-// over the overlapping prefix instead.
+// Numeric columns of unequal length get a Pearson score over their
+// overlapping prefix.
 func TestCorrelationLengthMismatch(t *testing.T) {
 	a := data.NewNumeric("a", []float64{1, 2, 3, 4, 5, 6})
 	b := data.NewNumeric("b", []float64{2, 4, 6, 8}) // perfectly linear on the overlap
@@ -207,20 +121,5 @@ func TestCorrelationLengthMismatch(t *testing.T) {
 	c := data.NewNumeric("c", []float64{6, 4, 2})
 	if got := Correlation(a, c); math.Abs(got+1) > 1e-12 {
 		t.Fatalf("anti-correlated prefix = %g, want -1", got)
-	}
-}
-
-// The summary-based inclusion fast path must agree with the definition.
-func TestInclusionFromSummaries(t *testing.T) {
-	a := data.NewString("a", []string{"x", "y"})
-	b := data.NewString("b", []string{"x", "y", "z"})
-	if got := InclusionFromSummaries(a.Summary(), b.Summary()); got != 1 {
-		t.Fatalf("full inclusion = %g, want 1", got)
-	}
-	if got := InclusionFromSummaries(b.Summary(), a.Summary()); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("partial inclusion = %g, want 2/3", got)
-	}
-	if got := InclusionScore(a, b); got != 1 {
-		t.Fatalf("InclusionScore = %g, want 1", got)
 	}
 }

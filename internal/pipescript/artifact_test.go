@@ -273,7 +273,8 @@ evaluate metric=auto
 
 // Serving is bit-identical at any worker count: Transform and Predict
 // over the same batch must not depend on GOMAXPROCS, which sizes the
-// pool inference fans out over.
+// pool inference fans out over. The batch spans three of batch
+// inference's 512-row chunks, so above one P inference runs in parallel.
 func TestServingWorkersIdentical(t *testing.T) {
 	src := `pipeline "serve"
 impute "num" strategy=median
@@ -289,7 +290,7 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := messyTable(400, 9)
+	batch := messyTable(1300, 9)
 	batch.DropColumn("y")
 
 	setProcs(t, 1)

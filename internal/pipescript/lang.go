@@ -40,9 +40,8 @@ func (s Stmt) Opt(key, def string) string {
 
 // Program is a parsed PipeScript pipeline.
 type Program struct {
-	Name   string
-	Stmts  []Stmt
-	Source string
+	Name  string
+	Stmts []Stmt
 }
 
 // SyntaxError is a parse-time failure with a source location. It is the
@@ -76,7 +75,7 @@ var AvailablePackages = map[string]bool{
 // Parse parses PipeScript source into a program; the error (if any) is a
 // *SyntaxError carrying the offending line.
 func Parse(src string) (*Program, error) {
-	p := &Program{Source: src}
+	p := &Program{}
 	lines := strings.Split(src, "\n")
 	for ln, raw := range lines {
 		line := strings.TrimSpace(raw)

@@ -41,16 +41,14 @@ func benchProfile(b *testing.B, name string, scale float64, opts Options) {
 }
 
 // BenchmarkProfileKDD98 profiles the largest registered dataset (478
-// columns, heavy missingness) — the profiler's worst case, dominated by
-// the pairwise similarity/inclusion/association loops. Default workers
-// (GOMAXPROCS).
+// columns, heavy missingness) — the profiler's worst case. Default
+// workers (GOMAXPROCS).
 func BenchmarkProfileKDD98(b *testing.B) {
 	benchProfile(b, "KDD98", 0.2, Options{Seed: 7})
 }
 
 // BenchmarkProfileKDD98Serial runs at GOMAXPROCS 1, so the pool profiles
-// on one worker: the single-threaded win from memoized summaries and
-// inclusion pruning alone.
+// on one worker: the single-threaded cost of a cold profile.
 func BenchmarkProfileKDD98Serial(b *testing.B) {
 	setProcs(b, 1)
 	benchProfile(b, "KDD98", 0.2, Options{Seed: 7})
@@ -58,7 +56,7 @@ func BenchmarkProfileKDD98Serial(b *testing.B) {
 
 // BenchmarkProfileKDD98Warm re-profiles the same table instance: column
 // summaries stay memoized across iterations, isolating the non-summary
-// cost (sampling, embeddings, pairwise loops).
+// cost (sampling, the feature-type scan, the target associations).
 func BenchmarkProfileKDD98Warm(b *testing.B) {
 	t, ds := benchTable(b, "KDD98", 0.2)
 	b.ReportAllocs()

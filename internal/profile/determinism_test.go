@@ -42,8 +42,9 @@ func financialTable(t *testing.T) *data.Table {
 }
 
 // The profiler must be bit-identical at any worker count: every column
-// derives its RNG from (seed, index, name) and all shared state is warmed
-// read-only before the fan-out.
+// derives its RNG from (seed, index, name) and the target's working-sample
+// summary, the one column state workers share, is warmed before the
+// fan-out.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tab := range []*data.Table{salaryLikeTable(), financialTable(t)} {
 		setProcs(t, 1)

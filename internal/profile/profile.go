@@ -1,14 +1,15 @@
 // Package profile implements Algorithm 1 (PROFILING) of the paper: for
 // every column of a dataset it extracts the schema (name, data type), the
 // distinct-value and missing-value percentages, basic statistics, value
-// samples, and — via the cheap column embeddings of internal/embed —
-// approximate inclusion dependencies, similarities, and correlations.
+// samples, and the column's association with the target (Pearson or
+// Cramér's V, from internal/embed). Of Algorithm 1's pairwise lines 7-9
+// only that target association is computed: no prompt, rule or
+// experiment reads column similarities or inclusion dependencies.
 package profile
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -59,20 +60,17 @@ func (f FeatureType) String() string {
 // ColumnProfile is the per-column entry of the data profile (the
 // dictionary P[c] of Algorithm 1).
 type ColumnProfile struct {
-	Name            string
-	DataType        data.Kind
-	FeatureType     FeatureType
-	DistinctPct     float64 // percentage in [0,100]
-	MissingPct      float64 // percentage in [0,100]
-	DistinctCount   int
-	Stats           data.Stats
-	Samples         []string
-	DistinctValues  []string // all values for categorical candidates
-	InclusionDeps   []string // columns whose value set this column is included in
-	SimilarTo       []string // most similar sibling columns (embedding cosine)
-	TargetCorr      float64  // association with the target column
-	IsTarget        bool
-	NonNullFraction float64
+	Name           string
+	DataType       data.Kind
+	FeatureType    FeatureType
+	DistinctPct    float64 // percentage in [0,100]
+	MissingPct     float64 // percentage in [0,100]
+	DistinctCount  int
+	Stats          data.Stats
+	Samples        []string
+	DistinctValues []string // all values for categorical candidates
+	TargetCorr     float64  // association with the target column
+	IsTarget       bool
 }
 
 // Profile is the full data profile of a (consolidated) table.
@@ -119,7 +117,8 @@ func (p *Profile) buildIndex() {
 	p.index = idx
 }
 
-// maxRowsForPairwise caps the rows used for embedding/pairwise analysis.
+// maxRowsForPairwise caps the rows of the working sample that each
+// column's target association (TargetCorr) is computed over.
 const maxRowsForPairwise = 2000
 
 // Options tunes profiling.
@@ -149,9 +148,10 @@ func (o Options) withDefaults() Options {
 // Table profiles a single table (Algorithm 1) against the given target
 // column and task. The per-column work fans out over the worker pool,
 // so GOMAXPROCS bounds it; every column derives its sampling RNG from the
-// profiling seed and its own identity, and all shared state (summaries,
-// embeddings) is warmed read-only before the fan-out, so the result is
-// bit-identical to the serial loop at any worker count.
+// profiling seed and its own identity, and the one piece of shared
+// column state workers read (the target's working-sample summary) is
+// warmed before the fan-out, so the result is bit-identical to the
+// serial loop at any worker count.
 func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -161,43 +161,31 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	p := &Profile{Dataset: t.Name, Rows: t.NumRows(), Target: target, Task: task}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	// Embedding working set: sample rows once for all pairwise analysis.
+	// Working sample: the rows every column's target association is
+	// computed over.
 	work := t
 	if t.NumRows() > maxRowsForPairwise {
 		work = t.Sample(maxRowsForPairwise, rng)
 	}
-
-	// Warm pass: compute each column's memoized summary (full table and
-	// working sample) and its embedding once, in parallel. The profiling
-	// pass below only reads these — concurrent workers never write shared
-	// column state.
-	m := len(t.Cols)
-	vecs := make([]embed.Vector, m)
-	sums := make([]*data.Summary, m)
-	workSums := make([]*data.Summary, m)
-	if err := pool.Each(m, func(i int) error {
-		sums[i] = t.Cols[i].Summary()
-		workSums[i] = work.Cols[i].Summary()
-		vecs[i] = embed.Column(work.Cols[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	// CramersV reads the target's working-sample summary from every
+	// worker; warm it here so no two workers race to compute it.
 	targetCol := work.Col(target)
+	if targetCol != nil {
+		targetCol.Summary()
+	}
 
-	cols, err := pool.Map(m, func(ci int) (*ColumnProfile, error) {
+	cols, err := pool.Map(len(t.Cols), func(ci int) (*ColumnProfile, error) {
 		c := t.Cols[ci]
-		sum := sums[ci]
-		// All ratio/count fields come from the warmed summary (the same
+		sum := c.Summary()
+		// All ratio/count fields come from the column's summary (the same
 		// float expressions as the Column convenience methods).
 		cp := &ColumnProfile{
-			Name:            c.Name,
-			DataType:        c.Kind,
-			DistinctPct:     distinctRatio(sum) * 100,
-			MissingPct:      missingRatio(sum) * 100,
-			DistinctCount:   sum.DistinctCount(),
-			NonNullFraction: 1 - missingRatio(sum),
-			IsTarget:        c.Name == target,
+			Name:          c.Name,
+			DataType:      c.Kind,
+			DistinctPct:   distinctRatio(sum) * 100,
+			MissingPct:    missingRatio(sum) * 100,
+			DistinctCount: sum.DistinctCount(),
+			IsTarget:      c.Name == target,
 		}
 		cp.FeatureType = guessFeatureType(c, sum, opts)
 		if c.Kind.IsNumeric() {
@@ -208,44 +196,16 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 		if cp.FeatureType == FeatureCategorical || cp.FeatureType == FeatureBoolean {
 			cp.DistinctValues = sum.Distinct()
 		}
-		// Pairwise metadata from the working sample (Alg. 1 lines 7-9).
-		wc := work.Cols[ci]
-		wcSum := workSums[ci]
-		for cj, other := range work.Cols {
-			if cj == ci || other.Name == target {
-				continue
-			}
-			if embed.Cosine(vecs[ci], vecs[cj]) > 0.85 {
-				cp.SimilarTo = append(cp.SimilarTo, other.Name)
-			}
-		}
-		if cp.FeatureType == FeatureCategorical {
-			for cj, other := range work.Cols {
-				if cj == ci || !isDiscrete(workSums[cj], opts) {
-					continue
-				}
-				// Cheap distinct-count pruning first: containment of wc in
-				// a column with no more distinct values than wc can never
-				// satisfy the joint condition, so the O(d) set walk is
-				// skipped for most pairs. Same boolean outcome as before.
-				oSum := workSums[cj]
-				if oSum.DistinctCount() <= wcSum.DistinctCount() {
-					continue
-				}
-				if embed.InclusionFromSummaries(wcSum, oSum) >= 0.999 {
-					cp.InclusionDeps = append(cp.InclusionDeps, other.Name)
-				}
-			}
-		}
+		// Association with the target over the working sample (the
+		// correlations of Alg. 1 lines 7-9).
 		if targetCol != nil && c.Name != target {
+			wc := work.Cols[ci]
 			if wc.Kind.IsNumeric() && targetCol.Kind.IsNumeric() {
 				cp.TargetCorr = embed.Correlation(wc, targetCol)
 			} else {
 				cp.TargetCorr = embed.CramersV(wc, targetCol)
 			}
 		}
-		sort.Strings(cp.SimilarTo)
-		sort.Strings(cp.InclusionDeps)
 		return cp, nil
 	})
 	if err != nil {
@@ -288,10 +248,6 @@ func missingRatio(s *data.Summary) float64 {
 		return 0
 	}
 	return float64(s.Rows-s.Present()) / float64(s.Rows)
-}
-
-func isDiscrete(s *data.Summary, opts Options) bool {
-	return s.DistinctCount() <= opts.CategoricalMaxDistinct*4
 }
 
 // guessFeatureType is the profiler's pre-LLM heuristic (the catalog's LLM

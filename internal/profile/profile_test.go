@@ -200,24 +200,6 @@ func TestTypeCensus(t *testing.T) {
 	}
 }
 
-func TestSimilarColumnsDetected(t *testing.T) {
-	n := 400
-	a := make([]string, n)
-	b := make([]string, n)
-	for i := 0; i < n; i++ {
-		a[i] = string(rune('a' + i%4))
-		b[i] = a[i] // identical distribution
-	}
-	tb := data.NewTable("t")
-	tb.MustAddColumn(data.NewString("a", a))
-	tb.MustAddColumn(data.NewString("b", b))
-	tb.MustAddColumn(data.NewNumeric("y", make([]float64, n)))
-	p, _ := Table(tb, "y", data.Regression, Options{Seed: 1})
-	if len(p.Column("a").SimilarTo) == 0 {
-		t.Fatal("identical columns should be flagged similar")
-	}
-}
-
 func TestFeatureTypeStrings(t *testing.T) {
 	for ft, want := range map[FeatureType]string{
 		FeatureNumerical: "numerical", FeatureCategorical: "categorical",

@@ -53,15 +53,11 @@ func Build(in Input, m ModelSpec, cfg Config) []Prompt {
 		chunk := append(append([]ColumnMeta(nil), feats[lo:hi]...), target...)
 		pre := filterRules(rules, "preprocessing", chunk)
 		fe := filterRules(rules, "fe", chunk)
-		pp := Format(KindPreprocessing, in, chunk, pre, "", m, cfg)
-		pp.Chunk = i
-		fp := Format(KindFeatureEng, in, chunk, fe, "", m, cfg)
-		fp.Chunk = i
-		out = append(out, pp, fp)
+		out = append(out,
+			Format(KindPreprocessing, in, chunk, pre, "", m, cfg),
+			Format(KindFeatureEng, in, chunk, fe, "", m, cfg))
 	}
-	mp := Format(KindModelSelection, in, target, rules.Model, "", m, cfg)
-	mp.Chunk = len(out)
-	return append(out, mp)
+	return append(out, Format(KindModelSelection, in, target, rules.Model, "", m, cfg))
 }
 
 // filterRules keeps rules of one stage that mention only columns in the
@@ -105,9 +101,9 @@ func directiveColumn(d string) string {
 
 // Format renders one prompt in the wire format (the T template of §2),
 // enforcing the model's context budget: when the prompt would exceed it,
-// schema sample lists are elided first, then rule lines are dropped from
-// the end — reproducing the paper's observation that oversized prompts
-// lead to ignored rules.
+// rule lines are dropped from the end first, then schema lines from the
+// end (keeping at least one) — reproducing the paper's observation that
+// oversized prompts lead to ignored rules.
 func Format(kind Kind, in Input, cols []ColumnMeta, rules []Rule, prevCode string, m ModelSpec, cfg Config) Prompt {
 	schema := schemaLines(cols, cfg, in.Target)
 	ruleLines := make([]string, len(rules))

@@ -39,7 +39,6 @@ type ParsedCol struct {
 	Mean        float64
 	Median      float64
 	Values      []string
-	HasStats    bool
 }
 
 // ParsedRule is one rule line: the stage and the directly-followable
@@ -100,7 +99,6 @@ func ParsePrompt(text string) Parsed {
 			c.DistinctPct, _ = strconv.ParseFloat(kv["distinct_pct"], 64)
 			c.MissingPct, _ = strconv.ParseFloat(kv["missing_pct"], 64)
 			if _, ok := kv["mean"]; ok {
-				c.HasStats = true
 				c.Min, _ = strconv.ParseFloat(kv["min"], 64)
 				c.Max, _ = strconv.ParseFloat(kv["max"], 64)
 				c.Mean, _ = strconv.ParseFloat(kv["mean"], 64)

@@ -90,7 +90,6 @@ type ColumnMeta struct {
 	MissingPct     float64
 	DistinctCount  int
 	Stats          data.Stats
-	Samples        []string
 	DistinctValues []string
 	TargetCorr     float64
 	IsTarget       bool
@@ -120,8 +119,8 @@ func InputFromProfile(p *profile.Profile, topClassShare float64, description str
 			Name: c.Name, DataType: c.DataType, FeatureType: c.FeatureType,
 			DistinctPct: c.DistinctPct, MissingPct: c.MissingPct,
 			DistinctCount: c.DistinctCount, Stats: c.Stats,
-			Samples: c.Samples, DistinctValues: c.DistinctValues,
-			TargetCorr: c.TargetCorr, IsTarget: c.IsTarget,
+			DistinctValues: c.DistinctValues, TargetCorr: c.TargetCorr,
+			IsTarget: c.IsTarget,
 		})
 	}
 	return in
@@ -144,7 +143,6 @@ type Prompt struct {
 	Text      string
 	Tokens    int
 	Truncated bool // context limit forced dropping schema/rule lines
-	Chunk     int  // chain chunk index (0 for single prompts)
 }
 
 // CountTokens approximates LLM tokenization at ~4 characters per token,
